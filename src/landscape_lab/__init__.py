@@ -13,9 +13,6 @@ from .qdyn import (
     PropagationResult,
     assemble_segment_hamiltonian,
     build_su_basis,
-    expm_frechet,
-    expm_step,
-    expm_with_directional_derivatives,
     propagate,
 )
 from .landscape import (

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -62,8 +61,6 @@ EXIT_EXPECT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-THREADS_ENV = "LANDSCAPE_LAB_THREADS"
-
 CENSUS_FUNCTIONS = {
     "sin": (np.sin, np.cos),
     "sinc": (
@@ -103,17 +100,6 @@ def _parse_kappa(value) -> float:
     if kappa < 0.0 or not math.isfinite(kappa):
         raise ValueError(f"bound must be nonnegative and finite, got {kappa}")
     return kappa
-
-
-def _resolve_threads(value) -> int | None:
-    if value is None:
-        value = os.environ.get(THREADS_ENV)
-    if value is None:
-        return None
-    threads = int(value)
-    if threads < 1:
-        raise ValueError(f"thread cap must be >= 1, got {threads}")
-    return threads
 
 
 def _interleave(M: np.ndarray) -> list:
@@ -292,7 +278,7 @@ def _cmd_basins(args):
     sampler = BasinSampler(count=args.count, seed=args.seed, kappa=kappa,
                            segments=args.Z, horizon=args.T)
     census = basin_census(system, basis, sampler, _ascent_settings(args),
-                          _tolerances(args), workers=args.resolved_threads)
+                          _tolerances(args))
     results = {
         "alpha": alpha,
         "kappa": kappa,
@@ -403,8 +389,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--config", default=None,
                    help="JSON file whose entries override flags")
-    p.add_argument("--threads", default=None,
-                   help=f"worker cap (fallback: ${THREADS_ENV})")
     p.add_argument("--tol-grad", type=float, default=Tolerances.grad)
     p.add_argument("--tol-root", type=float, default=Tolerances.root)
     p.add_argument("--tol-merge", type=float, default=Tolerances.merge)
@@ -563,7 +547,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func", "output", "format", "config", "resolved_threads"}
+    skip = {"func", "output", "format", "config"}
     echo = {}
     for key, value in vars(args).items():
         if key in skip:
@@ -646,7 +630,6 @@ def _json_payload(report: RunReport) -> str:
 def run(args: argparse.Namespace) -> tuple:
     """Dispatch one parsed invocation; returns (RunReport, expect_ok)."""
     _apply_config_file(args)
-    args.resolved_threads = _resolve_threads(args.threads)
     started = time.perf_counter()
     results, metadata, expect_ok = args.func(args)
     wall = time.perf_counter() - started

@@ -19,8 +19,11 @@ from .qdyn import (
     BasisSet,
     ControlGrid,
     NumericalFault,
-    assemble_segment_hamiltonian,
-    expm_with_directional_derivatives,
+    _dagger,
+    _divided_differences,
+    _hamiltonian_stack,
+    _ordered_products,
+    _segment_kernel,
 )
 
 __all__ = [
@@ -179,84 +182,75 @@ def objective_range(system: QuantumSystem) -> ObjectiveRange:
     return ObjectiveRange(float(r[::-1] @ o), float(r @ o))
 
 
-def _segment_products(grid: ControlGrid, basis: BasisSet):
-    """Per-segment unitaries, their derivative stacks, and prefix products.
+def _basis_pairing(A: np.ndarray, basis: BasisSet) -> np.ndarray:
+    """Re Tr[B_k A_i] for a (m, N, N) stack A, as an (m, size) matrix.
 
-    Returns (prefix, units, dunits) with prefix[z] = U_z ... U_1 (prefix[0]
-    = I), units[z-1] = U_z, and dunits[z-1][j] the derivative of U_z along
-    generator j.
+    As B_k is Hermitian, Re Tr[B_k A] is the real dot product of the
+    interleaved (re, im) entries of B_k and A.
     """
-    if basis.size != grid.num_controls:
-        raise ValueError(
-            f"grid has {grid.num_controls} control rows but the basis "
-            f"provides {basis.size} generators"
-        )
-    dt = grid.dt
-    prefix = [np.eye(basis.dim, dtype=complex)]
-    units = []
-    dunits = []
-    for z in range(1, grid.segments + 1):
-        H = assemble_segment_hamiltonian(grid, z, basis)
-        U, dU = expm_with_directional_derivatives(H, dt, basis.stack)
-        units.append(U)
-        dunits.append(dU)
-        prefix.append(U @ prefix[-1])
-    return prefix, units, dunits
+    m, dim = A.shape[0], basis.dim
+    flat_a = np.ascontiguousarray(A).reshape(m, dim * dim).view(float)
+    return flat_a @ basis.stack.reshape(basis.size, dim * dim).view(float).T
+
+
+def _segment_products(grid: ControlGrid, basis: BasisSet) -> tuple:
+    """Prefix products P[z] = U_z ... U_1 (P[0] = I) and, per segment, the
+    eigenvalues lam, eigenvectors V and divided-difference table K with
+    dU_z/d eps_{j,z} = V (K o V^dag B_j V) V^dag.
+    """
+    lam, V, U = _segment_kernel(_hamiltonian_stack(grid, basis), grid.dt)
+    return _ordered_products(U), lam, V, _divided_differences(lam, grid.dt)
 
 
 def gradient(system: QuantumSystem, grid: ControlGrid, basis: BasisSet) -> LandscapeGradient:
-    """Analytic gradient of J at the grid.
+    """Analytic gradient of J at the grid, by adjoint pairing.
 
-    dU_T/d eps_{j,z} = U_Z ... U_{z+1} (dU_z/d eps_{j,z}) U_{z-1} ... U_1 and
-    dJ = 2 Re Tr[O_hat (dU_T) rho0 U_T^dag]; each trace reduces to a pairing
-    of the segment derivative with one N x N weight built from the prefix
-    and suffix products.
+    dJ/d eps_{j,z} = 2 Re Tr[(dU_z/d eps_{j,z}) W_z] with the weight
+    W_z = P_{z-1} rho0 U_T^dag O_hat U_T P_z^dag. Since the divided-difference
+    table is symmetric, this equals 2 Re Tr[B_j G_z] with one N x N matrix
+    G_z = V (K o V^dag W_z V) V^dag per segment.
     """
     if system.dim != basis.dim:
         raise ValueError(f"system dim {system.dim} != basis dim {basis.dim}")
-    Z = grid.segments
-    prefix, units, dunits = _segment_products(grid, basis)
-    total = prefix[Z]
-    # suffix[z] = U_Z ... U_{z+1}, suffix[Z] = I
-    suffix = [None] * (Z + 1)
-    suffix[Z] = np.eye(basis.dim, dtype=complex)
-    for z in range(Z - 1, -1, -1):
-        suffix[z] = suffix[z + 1] @ units[z]
-    C = system.rho0 @ total.conj().T @ system.observable
-    vals = np.empty((grid.num_controls, Z))
-    for z in range(1, Z + 1):
-        W = prefix[z - 1] @ C @ suffix[z]
-        vals[:, z - 1] = 2.0 * np.einsum("jab,ba->j", dunits[z - 1], W).real
-    return LandscapeGradient(vals)
+    P, _, V, K = _segment_products(grid, basis)
+    total = P[-1]
+    C = system.rho0 @ _dagger(total) @ system.observable @ total
+    W = P[:-1] @ C @ _dagger(P[1:])
+    Vh = _dagger(V)
+    G = V @ (K * (Vh @ W @ V)) @ Vh
+    return LandscapeGradient(2.0 * _basis_pairing(G, basis).T)
 
 
 def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     """Left-translated differential of the end-point map, one row per control.
 
     -i U_T^dag (dU_T/d eps_{j,z}) = -i P_{z-1}^dag U_z^dag (dU_z/d eps_{j,z})
-    P_{z-1} with P_{z-1} = U_{z-1} ... U_1, so only prefix products enter.
-    Each row is checked to be Hermitian traceless before projection onto
-    {B_k / sqrt(2)}.
+    P_{z-1} with P_{z-1} = U_{z-1} ... U_1, so only prefix products enter. In
+    the eigenbasis, U_z^dag dU_z = V (E o K o V^dag B_j V) V^dag with
+    E[a, b] = exp(i lam_a dt). Each row is checked to be Hermitian traceless
+    before projection onto {B_k / sqrt(2)}.
     """
-    Z = grid.segments
-    n = basis.size
-    prefix, units, dunits = _segment_products(grid, basis)
-    rows = np.empty((grid.num_controls * Z, n))
-    for z in range(1, Z + 1):
-        P = prefix[z - 1]
-        Uh = units[z - 1].conj().T
-        for j in range(grid.num_controls):
-            A = -1j * P.conj().T @ (Uh @ dunits[z - 1][j]) @ P
-            if np.max(np.abs(A - A.conj().T)) > TANGENT_ROW_TOL:
-                raise NumericalFault(
-                    f"tangent row ({j}, {z}) is not Hermitian within tolerance"
-                )
-            if abs(np.trace(A)) > TANGENT_ROW_TOL:
-                raise NumericalFault(f"tangent row ({j}, {z}) is not traceless")
-            rows[j * Z + (z - 1)] = (
-                np.einsum("kab,ba->k", basis.stack, A).real / np.sqrt(2.0)
-            )
-    return TangentMap(rows)
+    P, lam, V, K = _segment_products(grid, basis)
+    Z, n, dim = grid.segments, basis.size, basis.dim
+    Vh = _dagger(V)
+    M = np.exp(1j * grid.dt * lam)[:, :, None] * K
+    Q = Vh @ P[:-1]
+    # A[j, z] = -i Q_z^dag (M_z o V_z^dag B_j V_z) Q_z with M = E o K. Each
+    # product is one matmul per segment over all generators at once; the
+    # comments give the index layout of each result.
+    X = np.matmul(basis.stack.reshape(n * dim, dim), V)  # [z, (j, a), c]
+    X = X.reshape(Z, n, dim, dim).transpose(0, 2, 1, 3).reshape(Z, dim, n * dim)  # [z, a, (j, c)]
+    X = (Vh @ X).reshape(Z, dim, n, dim) * M[:, :, None, :]  # [z, d, j, c]
+    X = (_dagger(Q) @ X.reshape(Z, dim, n * dim)).reshape(Z, dim * n, dim)  # [z, (e, j), c]
+    A = (-1j * (X @ Q)).reshape(Z, dim, n, dim).transpose(2, 0, 1, 3)  # [j, z, e, f]
+    not_hermitian = np.max(np.abs(A - _dagger(A)), axis=(2, 3)) > TANGENT_ROW_TOL
+    not_traceless = np.abs(np.trace(A, axis1=2, axis2=3)) > TANGENT_ROW_TOL
+    checks = ((not_hermitian, "Hermitian within tolerance"), (not_traceless, "traceless"))
+    for bad, what in checks:
+        if np.any(bad):
+            j, z = np.argwhere(bad)[0]
+            raise NumericalFault(f"tangent row ({j}, {z + 1}) is not {what}")
+    return TangentMap(_basis_pairing(A.reshape(n * Z, dim, dim), basis) / np.sqrt(2.0))
 
 
 def unitary_objective_gradient(

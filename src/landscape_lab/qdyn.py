@@ -19,9 +19,6 @@ __all__ = [
     "PropagationResult",
     "build_su_basis",
     "assemble_segment_hamiltonian",
-    "expm_step",
-    "expm_frechet",
-    "expm_with_directional_derivatives",
     "propagate",
 ]
 
@@ -46,6 +43,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)
     return out
+
+
+def _dagger(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -182,29 +184,28 @@ class PropagationResult:
     total: np.ndarray
 
     def __post_init__(self):
-        if len(self.segment_unitaries) < 1:
-            raise ValueError("need at least one segment unitary")
-        dim = self.segment_unitaries[0].shape[0]
-        eye = np.eye(dim)
-        segs = []
-        for z, U in enumerate(self.segment_unitaries):
-            U = np.asarray(U, dtype=complex)
-            if U.shape != (dim, dim):
-                raise ValueError(f"segment {z} has shape {U.shape}")
-            if np.linalg.norm(U.conj().T @ U - eye) > UNITARITY_TOL:
-                raise NumericalFault(f"segment unitary {z} failed the unitarity check")
-            segs.append(_frozen(U))
+        segs = np.asarray(self.segment_unitaries, dtype=complex)
+        if segs.ndim != 3 or segs.shape[0] < 1 or segs.shape[1] != segs.shape[2]:
+            raise ValueError(
+                f"need a nonempty sequence of square segment unitaries, got shape {segs.shape}"
+            )
         total = np.asarray(self.total, dtype=complex)
-        if np.linalg.norm(total.conj().T @ total - eye) > UNITARITY_TOL:
+        if total.shape != segs.shape[1:]:
+            raise ValueError(f"total has shape {total.shape}, segments {segs.shape[1:]}")
+        # Frobenius unitarity defect of every segment and, last, of the total.
+        both = np.concatenate((segs, total[None]))
+        gram = _dagger(both) @ both - np.eye(total.shape[0])
+        defect = np.linalg.norm(gram.reshape(len(both), -1), axis=1)
+        bad = np.flatnonzero(defect > UNITARITY_TOL)
+        if bad.size and bad[0] < len(segs):
+            raise NumericalFault(f"segment unitary {bad[0]} failed the unitarity check")
+        if bad.size:
             raise NumericalFault("total propagator failed the unitarity check")
         if abs(np.linalg.det(total) - 1.0) > DETERMINANT_TOL:
             raise NumericalFault("total propagator is not special unitary")
-        prod = eye.astype(complex)
-        for U in segs:
-            prod = U @ prod
-        if np.max(np.abs(prod - total)) > UNITARITY_TOL:
+        if np.max(np.abs(_ordered_product(segs) - total)) > UNITARITY_TOL:
             raise NumericalFault("total does not equal the ordered segment product")
-        object.__setattr__(self, "segment_unitaries", tuple(segs))
+        object.__setattr__(self, "segment_unitaries", tuple(_frozen(segs)))
         object.__setattr__(self, "total", _frozen(total))
 
     @property
@@ -256,87 +257,69 @@ def assemble_segment_hamiltonian(
     return np.tensordot(grid.values[:, z - 1], basis.stack, axes=1)
 
 
-def expm_step(H: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for Hermitian H, via eigendecomposition.
-
-    Exactly unitary up to roundoff because the eigenphases have unit modulus.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if dt < 0.0:
-        raise ValueError(f"time step must be nonnegative, got {dt}")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if not _is_hermitian(H, HERMITICITY_TOL * scale):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    lam, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    return (V * np.exp(-1j * lam * dt)) @ V.conj().T
-
-
-def _phase_divided_difference(lam: np.ndarray, dt: float) -> np.ndarray:
-    """Divided-difference table of f(x) = exp(-i x dt) over the eigenvalues.
-
-    Off-diagonal entries are (f(a) - f(b)) / (a - b); pairs closer than the
-    degeneracy threshold fall back to the limit f'(a) = -i dt f(a), which
-    avoids catastrophic cancellation.
-    """
-    f = np.exp(-1j * lam * dt)
-    dlam = lam[:, None] - lam[None, :]
-    tau = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
-    near = np.abs(dlam) <= tau
-    safe = np.where(near, 1.0, dlam)
-    return np.where(near, -1j * dt * f[:, None], (f[:, None] - f[None, :]) / safe)
-
-
-def expm_frechet(H: np.ndarray, dt: float, D: np.ndarray) -> np.ndarray:
-    """Directional derivative d/ds exp(-i (H + s D) dt) at s = 0.
-
-    Both H and D must be Hermitian and of equal dimension. Computed in the
-    eigenbasis of H with the divided-difference kernel of exp(-i x dt).
-    """
-    H = np.asarray(H, dtype=complex)
-    D = np.asarray(D, dtype=complex)
-    if H.shape != D.shape or H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"shape mismatch: H {H.shape}, D {D.shape}")
-    for name, M in (("H", H), ("D", D)):
-        scale = max(1.0, float(np.max(np.abs(M))))
-        if not _is_hermitian(M, HERMITICITY_TOL * scale):
-            raise ValueError(f"{name} is not Hermitian within tolerance")
-    lam, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    K = _phase_divided_difference(lam, dt)
-    return V @ (K * (V.conj().T @ D @ V)) @ V.conj().T
-
-
-def expm_with_directional_derivatives(
-    H: np.ndarray, dt: float, directions: np.ndarray
-) -> tuple:
-    """exp(-i H dt) together with its derivative along each given direction.
-
-    ``directions`` is a (m, dim, dim) stack of Hermitian matrices; one
-    eigendecomposition of H is shared by all m derivatives.
-    """
-    H = np.asarray(H, dtype=complex)
-    lam, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    U = (V * np.exp(-1j * lam * dt)) @ V.conj().T
-    K = _phase_divided_difference(lam, dt)
-    Vh = V.conj().T
-    tilted = np.einsum("ab,kbc,cd->kad", Vh, np.asarray(directions, dtype=complex), V)
-    dUs = np.einsum("ab,kbc,cd->kad", V, K[None, :, :] * tilted, Vh)
-    return U, dUs
-
-
-def propagate(grid: ControlGrid, basis: BasisSet) -> PropagationResult:
-    """Segment unitaries and the horizon propagator U_Z ... U_1."""
+def _hamiltonian_stack(grid: ControlGrid, basis: BasisSet) -> np.ndarray:
+    """All Z segment Hamiltonians as one (Z, dim, dim) stack."""
     if basis.size != grid.num_controls:
         raise ValueError(
             f"grid has {grid.num_controls} control rows but the basis "
             f"provides {basis.size} generators"
         )
-    dt = grid.dt
-    segs = []
-    total = np.eye(basis.dim, dtype=complex)
-    for z in range(1, grid.segments + 1):
-        U = expm_step(assemble_segment_hamiltonian(grid, z, basis), dt)
-        segs.append(U)
-        total = U @ total
-    return PropagationResult(tuple(segs), total)
+    n, dim = basis.size, basis.dim
+    return (grid.values.T @ basis.stack.reshape(n, dim * dim)).reshape(-1, dim, dim)
+
+
+def _segment_kernel(H: np.ndarray, dt: float) -> tuple:
+    """(lam, V, U) for a (Z, dim, dim) stack of Hermitian Hamiltonians.
+
+    One batched eigendecomposition H_z = V_z diag(lam_z) V_z^dag gives every
+    segment unitary U_z = exp(-i H_z dt), exactly unitary up to roundoff
+    because the eigenphases have unit modulus.
+    """
+    H = np.asarray(H, dtype=complex)
+    if H.ndim != 3 or H.shape[1] != H.shape[2]:
+        raise ValueError(f"expected a (Z, n, n) stack, got shape {H.shape}")
+    if dt < 0.0:
+        raise ValueError(f"time step must be nonnegative, got {dt}")
+    Hh = _dagger(H)
+    scale = np.maximum(1.0, np.max(np.abs(H), axis=(1, 2)))
+    if np.any(np.max(np.abs(H - Hh), axis=(1, 2)) > HERMITICITY_TOL * scale):
+        raise ValueError("Hamiltonian stack is not Hermitian within tolerance")
+    lam, V = np.linalg.eigh((H + Hh) / 2.0)
+    U = (V * np.exp(-1j * dt * lam)[:, None, :]) @ _dagger(V)
+    return lam, V, U
+
+
+def _divided_differences(lam: np.ndarray, dt: float) -> np.ndarray:
+    """Divided-difference tables of f(x) = exp(-i x dt) over each eigenvalue row.
+
+    Entry (z, a, b) is (f(a) - f(b)) / (a - b), written in the stable form
+    -i dt exp(-i (a + b) dt / 2) sinc((a - b) dt / 2), which needs no
+    degeneracy threshold and reduces to f'(a) on the diagonal. The derivative
+    of U_z along a Hermitian D is V_z (K_z o V_z^dag D V_z) V_z^dag.
+    """
+    a = lam[:, :, None]
+    b = lam[:, None, :]
+    return -1j * dt * np.exp(-0.5j * dt * (a + b)) * np.sinc(0.5 * dt * (a - b) / np.pi)
+
+
+def _ordered_product(U: np.ndarray) -> np.ndarray:
+    """U_Z ... U_1 for a (Z, n, n) stack; bitwise equal to _ordered_products(U)[-1]."""
+    total = U[0]
+    for u in U[1:]:
+        total = u @ total
+    return total
+
+
+def _ordered_products(U: np.ndarray) -> np.ndarray:
+    """Prefix products P[z] = U_z ... U_1 of a (Z, n, n) stack, P[0] = I."""
+    P = np.empty((U.shape[0] + 1,) + U.shape[1:], dtype=complex)
+    P[0] = np.eye(U.shape[1])
+    for z in range(U.shape[0]):
+        np.matmul(U[z], P[z], out=P[z + 1])
+    return P
+
+
+def propagate(grid: ControlGrid, basis: BasisSet) -> PropagationResult:
+    """Segment unitaries and the horizon propagator U_Z ... U_1."""
+    _, _, U = _segment_kernel(_hamiltonian_stack(grid, basis), grid.dt)
+    return PropagationResult(U, _ordered_product(U))

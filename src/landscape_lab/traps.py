@@ -8,8 +8,6 @@ local maximum search to halt.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +52,16 @@ CLASSIFICATIONS = (
 # Width below which an objective range counts as a single point; censuses
 # then report no traps by convention instead of comparing J against noise.
 DEGENERATE_RANGE_WIDTH = 1e-15
+
+# Bound on the rounding error of a computed objective value, in units of
+# eps |J|. J is a trace through Z segment exponentials; on the corner-trap
+# qubit its error against 40-digit arithmetic stays below 11 of these units.
+OBJECTIVE_ROUNDING_ULPS = 16.0
+
+
+def _objective_rounding(j_value: float) -> float:
+    """Largest change of J that rounding alone can account for."""
+    return OBJECTIVE_ROUNDING_ULPS * np.finfo(float).eps * abs(j_value)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,8 @@ class CriticalPointReport:
     """First- and second-order diagnosis of one control grid.
 
     classification is "regular" exactly when the projected gradient norm
-    exceeds tol_grad; hessian_eigenvalues live on the free (non-active)
+    exceeds tol_grad, the tolerance in effect at this point (see
+    classify_point); hessian_eigenvalues live on the free (non-active)
     coordinates only. degenerate marks near-zero curvature directions that
     made the sign-based label ambiguous.
     """
@@ -246,11 +255,15 @@ def classify_point(
 ) -> CriticalPointReport:
     """First-order (projected gradient) and second-order (free Hessian) label.
 
-    Critical points are classified by Hessian eigenvalue signs on the free
-    coordinates; boundary-trap-max additionally requires every active
-    component to push outward (>= -tol.grad), boundary-trap-min requires
-    them all inert (<= tol.grad). Mixed boundary cases are labelled
-    boundary-saddle.
+    A point is critical when its projected gradient norm is at most
+    tol_grad = max(tol.grad, sqrt(2 L r)), with L the largest Hessian
+    curvature and r the rounding of J: a gradient that small can raise J by
+    at most about |g|^2 / (2 L) before the curvature cancels it, a gain that
+    rounding hides. Critical points are classified by Hessian eigenvalue
+    signs on the free coordinates; boundary-trap-max additionally requires
+    every active component to push outward (>= -tol_grad),
+    boundary-trap-min requires them all inert (<= tol_grad). Mixed boundary
+    cases are labelled boundary-saddle.
     """
     g = gradient(system, grid, basis).values
     act = tuple(active_set(grid, tol.active))
@@ -269,8 +282,12 @@ def classify_point(
     else:
         eigs = np.empty(0)
     n_pos, n_neg, n_zero = _eigenvalue_signs(eigs)
+    tol_grad = tol.grad
+    if eigs.size:
+        floor = 2.0 * float(np.max(np.abs(eigs))) * _objective_rounding(j_value)
+        tol_grad = max(tol.grad, floor**0.5)
 
-    if pnorm > tol.grad:
+    if pnorm > tol_grad:
         cls = "regular"
         degenerate = False
     else:
@@ -286,9 +303,9 @@ def classify_point(
             outward = np.array(
                 [g[j, z - 1] if side == "+" else -g[j, z - 1] for (j, z, side) in act]
             )
-            if n_pos == 0 and np.all(outward >= -tol.grad):
+            if n_pos == 0 and np.all(outward >= -tol_grad):
                 cls = "boundary-trap-max"
-            elif n_neg == 0 and np.all(outward <= tol.grad):
+            elif n_neg == 0 and np.all(outward <= tol_grad):
                 cls = "boundary-trap-min"
             else:
                 cls = "boundary-saddle"
@@ -301,7 +318,7 @@ def classify_point(
         classification=cls,
         hessian_eigenvalues=tuple(float(e) for e in eigs),
         degenerate=degenerate,
-        tol_grad=tol.grad,
+        tol_grad=tol_grad,
     )
 
 
@@ -317,8 +334,11 @@ def gradient_ascent(
     The trial step is kappa / |projected gradient| so the first candidate
     moves by about one box radius; acceptance requires the Armijo fraction
     of the first-order gain predicted for the realized (clipped)
-    displacement. Terminates when the projected gradient norm drops below
-    params.gtol, the line search stalls, or max_iters is reached.
+    displacement. Converges when the projected gradient norm drops below
+    params.gtol, or when the line search reaches a step whose predicted gain
+    is within the rounding of J: no shorter step can raise J by more than
+    rounding, so the point is critical to working precision. Otherwise stops
+    when the line search stalls or max_iters is reached.
     """
     grid = start
     vals = np.array(start.values)
@@ -340,6 +360,9 @@ def gradient_ascent(
             delta = cand - vals
             predicted = float(np.sum(g * delta))
             if predicted <= 0.0:
+                break
+            if predicted <= _objective_rounding(J):
+                converged = True
                 break
             cand_grid = grid.with_values(cand)
             Jc = objective(system, propagate(cand_grid, basis).total)
@@ -410,7 +433,6 @@ def basin_census(
     sampler: BasinSampler,
     params: AscentSettings = AscentSettings(),
     tol: Tolerances = Tolerances(),
-    workers: int | None = None,
 ) -> BasinCensusResult:
     """Multistart ascent statistics: which fraction fails to reach j_max?
 
@@ -447,14 +469,7 @@ def basin_census(
             trapped=trapped,
         )
 
-    if workers is None:
-        workers = min(sampler.count, os.cpu_count() or 1)
-    workers = max(1, workers)
-    if workers == 1:
-        runs = [one_run(i) for i in range(sampler.count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(one_run, range(sampler.count)))
+    runs = [one_run(i) for i in range(sampler.count)]
     trapped_fraction = sum(r.trapped for r in runs) / sampler.count
     return BasinCensusResult(
         trapped_fraction=float(trapped_fraction),

@@ -245,8 +245,7 @@ def test_criterion_7_cli_determinism(capsys, tmp_path):
                       "--format", "csv"]),
         ("slice.csv", ["ce-slice", "--steps", "51", "--format", "csv"]),
         ("boundary.json", ["ce-boundary", "--samples", "200", "--seed", "7"]),
-        ("basins.json", ["basins", "--count", "4", "--seed", "3",
-                         "--threads", "2"]),
+        ("basins.json", ["basins", "--count", "4", "--seed", "3"]),
         ("rank.json", ["rank", "--grid-kind", "corner", "--kappa", "auto",
                        "--seed", "1"]),
     ]

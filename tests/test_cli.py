@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from landscape_lab import build_su_basis, kappa_threshold
-from landscape_lab.cli import THREADS_ENV, main
+from landscape_lab.cli import main
 
 KAPPA_AUTO = np.pi / np.sqrt(3.0)
 
@@ -184,26 +184,6 @@ class TestConfigFile:
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["ce-scan2d", "--config", str(tmp_path / "absent.json")]) == 2
-
-
-class TestThreads:
-    def test_thread_cap_does_not_change_census(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        base = ["basins", "--count", "6", "--seed", "5"]
-        _, one = run_json(tmp_path, "w1.json", base + ["--threads", "1"])
-        _, two = run_json(tmp_path, "w2.json", base + ["--threads", "2"])
-        assert one["results"] == two["results"]
-
-    def test_env_fallback_matches_flag(self, tmp_path, monkeypatch):
-        base = ["basins", "--count", "4", "--seed", "9"]
-        monkeypatch.setenv(THREADS_ENV, "2")
-        _, via_env = run_json(tmp_path, "e1.json", base)
-        monkeypatch.delenv(THREADS_ENV)
-        _, via_flag = run_json(tmp_path, "e2.json", base + ["--threads", "2"])
-        assert via_env["results"] == via_flag["results"]
-
-    def test_invalid_thread_cap_rejected(self, tmp_path):
-        assert main(["basins", "--count", "2", "--threads", "0"]) == 2
 
 
 class TestCsvFormat:

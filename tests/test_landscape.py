@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm, expm_frechet
 
 from landscape_lab import (
     ControlGrid,
@@ -7,6 +8,7 @@ from landscape_lab import (
     QuantumSystem,
     TangentMap,
     active_set,
+    assemble_segment_hamiltonian,
     boundary_cone_surjectivity,
     build_su_basis,
     gradient,
@@ -18,6 +20,7 @@ from landscape_lab import (
     psi_tangent_map,
     unitary_objective_gradient,
 )
+from landscape_lab.qdyn import _divided_differences, _hamiltonian_stack, _segment_kernel
 
 BASIS2 = build_su_basis(2)
 SIGMA_X, SIGMA_Y, SIGMA_Z = BASIS2.elements
@@ -205,6 +208,53 @@ class TestTangentMap:
     def test_rejects_bad_column_count(self):
         with pytest.raises(ValueError):
             TangentMap(np.zeros((4, 5)))
+
+
+def loop_reference(system, grid, basis):
+    """Segment by segment, with scipy: U_z, dU_z/d eps_{j,z}, gradient, tangent rows."""
+    dt, Z, n = grid.dt, grid.segments, basis.size
+    units, dunits = [], []
+    for z in range(1, Z + 1):
+        X = -1j * dt * assemble_segment_hamiltonian(grid, z, basis)
+        units.append(expm(X))
+        dunits.append([expm_frechet(X, -1j * dt * B, compute_expm=False) for B in basis.elements])
+    prefix = [np.eye(basis.dim, dtype=complex)]
+    for U in units:
+        prefix.append(U @ prefix[-1])
+    total = prefix[-1]
+    grad = np.empty((n, Z))
+    rows = np.empty((n * Z, n))
+    for z in range(Z):
+        suffix = total @ np.linalg.inv(prefix[z + 1])
+        for j in range(n):
+            dU_T = suffix @ dunits[z][j] @ prefix[z]
+            grad[j, z] = 2.0 * np.trace(
+                system.observable @ dU_T @ system.rho0 @ total.conj().T
+            ).real
+            A = -1j * total.conj().T @ dU_T
+            rows[j * Z + z] = [np.trace(B @ A).real / np.sqrt(2.0) for B in basis.elements]
+    return np.array(units), dunits, grad, rows
+
+
+class TestBatchedKernelAgainstLoop:
+    @pytest.mark.parametrize("N,Z", [(2, 4), (3, 7), (4, 12)])
+    def test_kernel_gradient_and_tangent_map_match_loop(self, N, Z):
+        rng = np.random.default_rng(100 * N + Z)
+        basis = build_su_basis(N)
+        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, Z, rng)
+        system = random_system(N, rng)
+        units, dunits, grad, rows = loop_reference(system, grid, basis)
+
+        lam, V, U = _segment_kernel(_hamiltonian_stack(grid, basis), grid.dt)
+        K = _divided_differences(lam, grid.dt)
+        np.testing.assert_allclose(U, units, atol=1e-13)
+        for z in range(Z):
+            Vh = V[z].conj().T
+            for j, B in enumerate(basis.elements):
+                dU = V[z] @ (K[z] * (Vh @ B @ V[z])) @ Vh
+                np.testing.assert_allclose(dU, dunits[z][j], atol=1e-13)
+        np.testing.assert_allclose(gradient(system, grid, basis).values, grad, atol=1e-13)
+        np.testing.assert_allclose(psi_tangent_map(grid, basis).rows, rows, atol=1e-13)
 
 
 class TestLocalSurjectivityRank:

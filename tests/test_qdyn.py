@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.linalg import expm_frechet as scipy_expm_frechet
 
 from landscape_lab import (
     BasisSet,
@@ -8,11 +11,9 @@ from landscape_lab import (
     PropagationResult,
     assemble_segment_hamiltonian,
     build_su_basis,
-    expm_frechet,
-    expm_step,
-    expm_with_directional_derivatives,
     propagate,
 )
+from landscape_lab.qdyn import _divided_differences, _segment_kernel
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -22,6 +23,22 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def random_hermitian(n, rng):
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (M + M.conj().T) / 2.0
+
+
+def kernel_step(H, dt):
+    """exp(-i H dt) from the batched segment kernel, for one Hamiltonian."""
+    return _segment_kernel(np.asarray(H, dtype=complex)[None], dt)[2][0]
+
+
+def kernel_frechet(H, dt, D):
+    """d/ds exp(-i (H + s D) dt) at s = 0 from the kernel's eigenbasis and table."""
+    lam, V, _ = _segment_kernel(np.asarray(H, dtype=complex)[None], dt)
+    V, K = V[0], _divided_differences(lam, dt)[0]
+    return V @ (K * (V.conj().T @ D @ V)) @ V.conj().T
+
+
+def scipy_frechet(H, dt, D):
+    return scipy_expm_frechet(-1j * dt * H, -1j * dt * D, compute_expm=False)
 
 
 class TestBuildSuBasis:
@@ -136,34 +153,38 @@ class TestAssembleSegmentHamiltonian:
 
 class TestExpmStep:
     def test_zero_hamiltonian(self):
-        np.testing.assert_allclose(expm_step(np.zeros((3, 3)), 0.8), np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(kernel_step(np.zeros((3, 3)), 0.8), np.eye(3), atol=1e-15)
 
     def test_pauli_sum_half_turn(self):
         # exp(-i theta n.sigma) = cos(theta) I - i sin(theta) n.sigma; at
         # theta = pi only the -I term survives.
         kappa = 0.9
         dt = np.pi / (np.sqrt(3.0) * kappa)
-        U = expm_step(kappa * (SIGMA_X + SIGMA_Y + SIGMA_Z), dt)
+        H = kappa * (SIGMA_X + SIGMA_Y + SIGMA_Z)
+        U = kernel_step(H, dt)
         np.testing.assert_allclose(U, -np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(U, expm(-1j * dt * H), atol=1e-14)
 
     def test_diagonal_case(self):
-        U = expm_step(SIGMA_Z, np.pi / 2.0)
+        U = kernel_step(SIGMA_Z, np.pi / 2.0)
         np.testing.assert_allclose(U, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]), atol=1e-15)
 
     def test_rejects_non_hermitian(self):
+        stack = np.stack([SIGMA_Z, np.array([[0.0, 1.0], [0.0, 0.0]])])
         with pytest.raises(ValueError):
-            expm_step(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+            _segment_kernel(stack, 0.1)
 
     def test_rejects_negative_dt(self):
         with pytest.raises(ValueError):
-            expm_step(SIGMA_Z, -0.1)
+            _segment_kernel(SIGMA_Z[None], -0.1)
 
     def test_unitary_on_random_inputs(self):
         rng = np.random.default_rng(5)
         for n in (2, 3, 5):
             H = random_hermitian(n, rng)
-            U = expm_step(H, 0.37)
+            U = kernel_step(H, 0.37)
             assert np.linalg.norm(U.conj().T @ U - np.eye(n)) < 1e-12
+            np.testing.assert_allclose(U, expm(-0.37j * H), atol=1e-13)
 
 
 class TestExpmFrechet:
@@ -171,12 +192,13 @@ class TestExpmFrechet:
         H = np.diag([1.0, -1.0]).astype(complex)
         D = np.diag([2.0, 3.0]).astype(complex)
         dt = 0.3
-        expected = -1j * dt * D @ expm_step(H, dt)
-        np.testing.assert_allclose(expm_frechet(H, dt, D), expected, atol=1e-14)
+        expected = -1j * dt * D @ expm(-1j * dt * H)
+        np.testing.assert_allclose(kernel_frechet(H, dt, D), expected, atol=1e-14)
+        np.testing.assert_allclose(scipy_frechet(H, dt, D), expected, atol=1e-14)
 
     def test_degenerate_branch_at_zero(self):
         D = SIGMA_X + 0.5 * SIGMA_Z
-        F = expm_frechet(np.zeros((2, 2)), 0.7, D)
+        F = kernel_frechet(np.zeros((2, 2)), 0.7, D)
         np.testing.assert_allclose(F, -1j * 0.7 * D, atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -186,22 +208,69 @@ class TestExpmFrechet:
         D = random_hermitian(n, rng)
         dt = 0.41
         h = 1e-5
-        fd = (expm_step(H + h * D, dt) - expm_step(H - h * D, dt)) / (2 * h)
-        F = expm_frechet(H, dt, D)
+        fd = (kernel_step(H + h * D, dt) - kernel_step(H - h * D, dt)) / (2 * h)
+        F = kernel_frechet(H, dt, D)
         assert np.max(np.abs(F - fd)) / np.max(np.abs(F)) < 1e-6
+        np.testing.assert_allclose(F, scipy_frechet(H, dt, D), atol=1e-13)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            expm_frechet(np.zeros((2, 2)), 0.1, np.zeros((3, 3)))
+            _segment_kernel(np.zeros((2, 2)), 0.1)
+        with pytest.raises(ValueError):
+            _segment_kernel(np.zeros((1, 2, 3)), 0.1)
 
     def test_shared_eigendecomposition_variant_agrees(self):
+        # One batched call over a stack equals scipy, segment by segment,
+        # for the unitaries and for derivatives along several directions.
         rng = np.random.default_rng(17)
-        H = random_hermitian(3, rng)
+        Hs = np.stack([random_hermitian(3, rng) for _ in range(5)])
         dirs = np.stack([random_hermitian(3, rng) for _ in range(4)])
-        U, dUs = expm_with_directional_derivatives(H, 0.23, dirs)
-        np.testing.assert_allclose(U, expm_step(H, 0.23), atol=1e-13)
-        for k in range(4):
-            np.testing.assert_allclose(dUs[k], expm_frechet(H, 0.23, dirs[k]), atol=1e-13)
+        lam, V, U = _segment_kernel(Hs, 0.23)
+        K = _divided_differences(lam, 0.23)
+        for z in range(5):
+            np.testing.assert_allclose(U[z], expm(-0.23j * Hs[z]), atol=1e-13)
+            for D in dirs:
+                dU = V[z] @ (K[z] * (V[z].conj().T @ D @ V[z])) @ V[z].conj().T
+                np.testing.assert_allclose(dU, scipy_frechet(Hs[z], 0.23, D), atol=1e-13)
+
+
+def mpmath_frechet_of_diagonal(h, dt, D):
+    """Exact d/ds exp(-i (diag(h) + s D) dt), entry (a, b) = D_ab f[h_a, h_b], at 50 digits."""
+    out = np.empty(D.shape, dtype=complex)
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(float(v)) for v in h]
+        f = [mpmath.exp(-1j * v * dt) for v in x]
+        for a in range(len(h)):
+            for b in range(len(h)):
+                if x[a] == x[b]:
+                    dd = -1j * dt * f[a]
+                else:
+                    dd = (f[a] - f[b]) / (x[a] - x[b])
+                out[a, b] = complex(dd * mpmath.mpc(complex(D[a, b])))
+    return out
+
+
+class TestDividedDifferences:
+    @pytest.mark.parametrize("gap", [10.0**k for k in range(-11, 1)])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_near_degenerate_matches_mpmath(self, gap, rotated):
+        # Eigenvalues 0.7 and 0.7 + gap: the difference quotient
+        # (f(a) - f(b)) / (a - b) cancels to ~1e-16 / gap, the sinc form not.
+        rng = np.random.default_rng(0)
+        D = random_hermitian(3, rng)
+        h = np.array([0.7, 0.7 + gap, -1.3])
+        ref = mpmath_frechet_of_diagonal(h, 1.0, D)
+        H = np.diag(h).astype(complex)
+        if rotated:
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            H, D, ref = (Q @ M @ Q.conj().T for M in (H, D, ref))
+        F = kernel_frechet(H, 1.0, D)
+        assert np.max(np.abs(F - ref)) / np.max(np.abs(ref)) <= 1e-14
+
+    def test_table_is_symmetric(self):
+        lam = np.array([[-0.4, 0.1, 0.1 + 1e-12, 2.0]])
+        K = _divided_differences(lam, 0.6)
+        np.testing.assert_array_equal(K, K.transpose(0, 2, 1))
 
 
 class TestPropagate:
@@ -224,7 +293,7 @@ class TestPropagate:
         grid = ControlGrid(1.2, 1.0, vals)
         basis = build_su_basis(2)
         H = assemble_segment_hamiltonian(grid, 1, basis)
-        np.testing.assert_allclose(propagate(grid, basis).total, expm_step(H, 1.2), atol=1e-12)
+        np.testing.assert_allclose(propagate(grid, basis).total, expm(-1.2j * H), atol=1e-12)
 
     def test_group_composition(self):
         rng = np.random.default_rng(11)
@@ -255,7 +324,7 @@ class TestPropagate:
         grid = ControlGrid.uniform_random(1.1, 1.3, 3, 4, rng)
         j, z = 1, 3
         dt = grid.dt
-        F = expm_frechet(
+        F = kernel_frechet(
             assemble_segment_hamiltonian(grid, z, basis), dt, basis.elements[j]
         )
         segs = propagate(grid, basis).segment_unitaries
