@@ -85,11 +85,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """One run's full record: config echo, results, versions, metadata."""
+    """One run's full record: config echo, results and wall time."""
 
     config: dict
     results: dict
-    metadata: dict
     wall_time_s: float
 
 
@@ -132,19 +131,14 @@ def _demo_system(T: float, kappa: float) -> tuple:
     return QuantumSystem(2, trap_initial_state(), trap_observable(alpha)), alpha
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        grad=args.tol_grad,
-        root=args.tol_root,
-        merge=args.tol_merge,
-        active=args.active_tol,
-    )
-
-
 def _ascent_settings(args) -> AscentSettings:
     return AscentSettings(
         max_iters=args.max_iters, gtol=args.gtol, armijo=args.armijo
     )
+
+
+def _ascent_tolerances(args) -> Tolerances:
+    return Tolerances(grad=args.tol_grad, active=args.active_tol)
 
 
 def _report_terminal(report) -> dict:
@@ -158,7 +152,7 @@ def _report_terminal(report) -> dict:
     }
 
 
-# Command handlers: each returns (results, metadata, expect_ok).
+# Command handlers: each returns (results, expect_ok).
 
 def _cmd_basis(args):
     basis = build_su_basis(args.N)
@@ -167,14 +161,14 @@ def _cmd_basis(args):
         "size": basis.size,
         "elements": [_interleave(B) for B in basis.elements],
     }
-    return results, {}, True
+    return results, True
 
 
 def _cmd_kappa_thr(args):
     basis = build_su_basis(args.N)
     thr = kappa_threshold(basis, args.T, args.Z)
     results = {"kappa_thr": thr, "conservative": args.N > 2}
-    return results, {}, True
+    return results, True
 
 
 def _cmd_propagate(args):
@@ -193,7 +187,7 @@ def _cmd_propagate(args):
         ),
         "determinant_defect": float(abs(np.linalg.det(prop.total) - 1.0)),
     }
-    return results, {"beta": args.Z}, True
+    return results, True
 
 
 def _cmd_rank(args):
@@ -203,10 +197,7 @@ def _cmd_rank(args):
                       args.seed, args.fill)
     tm = psi_tangent_map(grid, basis)
     rank, surjective = local_surjectivity_rank(tm, args.rank_tol)
-    cone_ok, witness = boundary_cone_surjectivity(
-        grid, tm, active_tol=args.active_tol, samples=args.samples,
-        seed=args.seed,
-    )
+    cone_ok, witness = boundary_cone_surjectivity(grid, tm, args.active_tol)
     results = {
         "kappa": kappa,
         "rank": rank,
@@ -214,7 +205,7 @@ def _cmd_rank(args):
         "cone_surjective": cone_ok,
         "witness": None if witness is None else [float(w) for w in witness],
     }
-    return results, {"beta": args.Z}, True
+    return results, True
 
 
 def _cmd_scan(args):
@@ -250,7 +241,7 @@ def _cmd_scan(args):
         "columns": ["c1", "c2", "J", "g1", "g2"],
         "rows": rows,
     }
-    return results, {"beta": args.Z}, True
+    return results, True
 
 
 def _cmd_ascent(args):
@@ -260,7 +251,7 @@ def _cmd_ascent(args):
     start = _make_grid(args.start, args.T, kappa, basis.size, args.Z,
                        args.seed, args.fill)
     trace = gradient_ascent(system, start, basis, _ascent_settings(args),
-                            _tolerances(args))
+                            _ascent_tolerances(args))
     results = {
         "alpha": alpha,
         "kappa": kappa,
@@ -268,7 +259,7 @@ def _cmd_ascent(args):
         "converged": trace.converged,
         "terminal": _report_terminal(trace.terminal),
     }
-    return results, {"beta": args.Z}, True
+    return results, True
 
 
 def _cmd_basins(args):
@@ -278,7 +269,7 @@ def _cmd_basins(args):
     sampler = BasinSampler(count=args.count, seed=args.seed, kappa=kappa,
                            segments=args.Z, horizon=args.T)
     census = basin_census(system, basis, sampler, _ascent_settings(args),
-                          _tolerances(args))
+                          _ascent_tolerances(args))
     results = {
         "alpha": alpha,
         "kappa": kappa,
@@ -298,7 +289,7 @@ def _cmd_basins(args):
             for r in census.runs
         ],
     }
-    return results, {"beta": args.Z}, True
+    return results, True
 
 
 def _cmd_ce_boundary(args):
@@ -312,10 +303,7 @@ def _cmd_ce_boundary(args):
     ver = verify_boundary_trap(inst, args.samples, radius, args.seed)
     basis = build_su_basis(2)
     tm = psi_tangent_map(inst.grid, basis)
-    cone_ok, witness = boundary_cone_surjectivity(
-        inst.grid, tm, active_tol=args.active_tol, samples=args.cone_samples,
-        seed=args.seed,
-    )
+    cone_ok, witness = boundary_cone_surjectivity(inst.grid, tm, args.active_tol)
     results = {
         "alpha": inst.alpha,
         "kappa": inst.kappa,
@@ -331,7 +319,7 @@ def _cmd_ce_boundary(args):
         "witness": None if witness is None else [float(w) for w in witness],
     }
     expect_ok = ver.is_trap if args.expect_trap else True
-    return results, {"beta": args.Z}, expect_ok
+    return results, expect_ok
 
 
 def _cmd_ce_slice(args):
@@ -345,7 +333,7 @@ def _cmd_ce_slice(args):
             for r in census.per_slice
         ],
     }
-    return results, {}, True
+    return results, True
 
 
 def _cmd_ce_scan2d(args):
@@ -362,7 +350,7 @@ def _cmd_ce_scan2d(args):
         if args.expect_min_grad is not None
         else True
     )
-    return results, {}, expect_ok
+    return results, expect_ok
 
 
 def _cmd_census1d(args):
@@ -370,7 +358,8 @@ def _cmd_census1d(args):
         raise ValueError(f"unknown census function {args.fn!r}")
     f, fp = CENSUS_FUNCTIONS[args.fn]
     census = critical_value_census_1d(
-        f, fp, (args.a, args.b), args.grid_points, _tolerances(args)
+        f, fp, (args.a, args.b), args.grid_points,
+        Tolerances(root=args.tol_root, merge=args.tol_merge),
     )
     results = {
         "fn": args.fn,
@@ -380,18 +369,21 @@ def _cmd_census1d(args):
         "num_critical_points": len(census.critical_points),
         "num_distinct_values": len(census.distinct_values),
     }
-    return results, {}, True
+    return results, True
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--output", default=None, help="write the report here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--config", default=None,
                    help="JSON file whose entries override flags")
-    p.add_argument("--tol-grad", type=float, default=Tolerances.grad)
-    p.add_argument("--tol-root", type=float, default=Tolerances.root)
-    p.add_argument("--tol-merge", type=float, default=Tolerances.merge)
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+
+
+def _add_active_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--active-tol", type=float, default=DEFAULT_ACTIVE_TOL)
 
 
@@ -401,12 +393,15 @@ def _add_grid_source(p: argparse.ArgumentParser, kinds=GRID_KINDS,
                    choices=kinds, default=default)
     p.add_argument("--fill", type=float, default=0.0,
                    help="amplitude for --grid-kind constant")
+    _add_seed(p)
 
 
 def _add_ascent_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=AscentSettings.max_iters)
     p.add_argument("--gtol", type=float, default=AscentSettings.gtol)
     p.add_argument("--armijo", type=float, default=AscentSettings.armijo)
+    p.add_argument("--tol-grad", type=float, default=Tolerances.grad)
+    _add_active_tol(p)
 
 
 def _coord(text: str) -> tuple:
@@ -450,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--Z", type=int, default=4)
     p.add_argument("--kappa", default="1.0")
-    p.add_argument("--samples", type=int, default=64)
     p.add_argument("--rank-tol", type=float, default=1e-8)
     _add_grid_source(p)
+    _add_active_tol(p)
     _add_common(p)
     p.set_defaults(func=_cmd_rank)
 
@@ -482,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Z", type=int, default=4)
     p.add_argument("--kappa", default="auto")
     p.add_argument("--count", type=int, default=50)
+    _add_seed(p)
     _add_ascent_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_basins)
@@ -490,12 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--Z", type=int, default=4)
     p.add_argument("--kappa", default="auto")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--cone-samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=1000,
+                   help="inward escape probes")
     p.add_argument("--radius", default="auto",
                    help="inward perturbation radius (auto = 1e-3 kappa)")
     p.add_argument("--expect-trap", action="store_true",
                    help="exit 1 unless the corner verifies as a trap")
+    _add_seed(p)
+    _add_active_tol(p)
     _add_common(p)
     p.set_defaults(func=_cmd_ce_boundary)
 
@@ -522,6 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--grid-points", type=int, default=2001)
+    p.add_argument("--tol-root", type=float, default=Tolerances.root)
+    p.add_argument("--tol-merge", type=float, default=Tolerances.merge)
     _add_common(p)
     p.set_defaults(func=_cmd_census1d)
 
@@ -613,7 +613,6 @@ def _csv_payload(report: RunReport) -> str:
 def _json_payload(report: RunReport) -> str:
     payload = {
         "config": report.config,
-        "metadata": report.metadata,
         "results": report.results,
         "results_hex": _hexify(report.results),
         "versions": {
@@ -631,14 +630,9 @@ def run(args: argparse.Namespace) -> tuple:
     """Dispatch one parsed invocation; returns (RunReport, expect_ok)."""
     _apply_config_file(args)
     started = time.perf_counter()
-    results, metadata, expect_ok = args.func(args)
+    results, expect_ok = args.func(args)
     wall = time.perf_counter() - started
-    report = RunReport(
-        config=_config_echo(args),
-        results=results,
-        metadata=metadata,
-        wall_time_s=wall,
-    )
+    report = RunReport(config=_config_echo(args), results=results, wall_time_s=wall)
     return report, expect_ok
 
 

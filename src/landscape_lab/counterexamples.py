@@ -18,6 +18,7 @@ from .qdyn import BasisSet, ControlGrid, NumericalFault, build_su_basis, propaga
 from .landscape import (
     DEFAULT_ACTIVE_TOL,
     QuantumSystem,
+    _at_bounds,
     gradient,
     objective,
     objective_range,
@@ -177,9 +178,7 @@ def corner_escape_analysis(
     j_corner = objective(system, propagate(grid, basis).total)
     j_global_max = objective_range(system).j_max
 
-    thresh = DEFAULT_ACTIVE_TOL * grid.kappa
-    at_upper = grid.values >= grid.kappa - thresh
-    at_lower = grid.values <= -(grid.kappa - thresh)
+    at_upper, at_lower = _at_bounds(grid, DEFAULT_ACTIVE_TOL)
 
     rng = np.random.default_rng(seed)
     max_gain = -np.inf

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
+from scipy.optimize import linprog
 
 from .qdyn import (
     BasisSet,
@@ -49,7 +49,6 @@ TANGENT_ROW_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_ACTIVE_TOL = 1e-9
 CONE_RESIDUAL_TOL = 1e-8
-DEFAULT_CONE_SAMPLES = 64
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -277,74 +276,74 @@ def local_surjectivity_rank(tm: TangentMap, tol: float = DEFAULT_RANK_TOL) -> tu
     return rank, rank == tm.rows.shape[1]
 
 
+def _at_bounds(grid: ControlGrid, active_tol: float) -> tuple:
+    """(at_upper, at_lower) masks shaped like grid.values.
+
+    A control is at a bound when |eps| >= kappa - active_tol * kappa; the
+    mask names the bound it touches.
+    """
+    edge = grid.kappa - active_tol * grid.kappa
+    return grid.values >= edge, grid.values <= -edge
+
+
 def active_set(grid: ControlGrid, active_tol: float = DEFAULT_ACTIVE_TOL) -> list:
     """Controls at the bound: (j, z, side) with z 1-based and side '+' or '-'.
 
-    A control is active when kappa - |eps| <= active_tol * kappa; the side is
-    the sign of the bound it touches.
+    The side is '+' for eps >= 0 and '-' otherwise.
     """
-    out = []
-    thresh = active_tol * grid.kappa
-    for j in range(grid.num_controls):
-        for z0 in range(grid.segments):
-            e = grid.values[j, z0]
-            if grid.kappa - abs(e) <= thresh:
-                out.append((j, z0 + 1, "+" if e >= 0.0 else "-"))
-    return out
+    at_upper, at_lower = _at_bounds(grid, active_tol)
+    return [
+        (j, z0 + 1, "+" if grid.values[j, z0] >= 0.0 else "-")
+        for j, z0 in np.argwhere(at_upper | at_lower).tolist()
+    ]
 
 
-def _variation_bounds(grid: ControlGrid, active_tol: float) -> tuple:
-    """Elementwise (lower, upper) bounds on admissible one-sided variations."""
-    thresh = active_tol * grid.kappa
-    vals = grid.values.ravel()
-    at_upper = vals >= grid.kappa - thresh
-    at_lower = vals <= -(grid.kappa - thresh)
-    lb = np.where(at_lower, 0.0, -np.inf)
-    ub = np.where(at_upper, 0.0, np.inf)
-    return lb, ub
+def _variation_bounds(grid: ControlGrid, active_tol: float) -> list:
+    """Per-control (lower, upper) bounds on admissible one-sided variations.
+
+    None marks an unbounded side, in the layout linprog takes.
+    """
+    at_upper, at_lower = _at_bounds(grid, active_tol)
+    return [
+        (0.0 if lo else None, 0.0 if up else None)
+        for lo, up in zip(at_lower.ravel().tolist(), at_upper.ravel().tolist())
+    ]
 
 
 def boundary_cone_surjectivity(
     grid: ControlGrid,
     tm: TangentMap,
     active_tol: float = DEFAULT_ACTIVE_TOL,
-    samples: int = DEFAULT_CONE_SAMPLES,
-    seed: int = 0,
 ) -> tuple:
     """(surjective, witness): can admissible variations reach all of su(N)?
 
     Variations are constrained one-sidedly at active bounds (<= 0 at +kappa,
-    >= 0 at -kappa, free otherwise). For each of `samples` seeded random unit
-    directions w the sign-constrained least-squares problem min |M^T d - w|
-    is solved; any residual above 1e-8 certifies w outside the attainable
-    cone and the worst such w is returned as witness.
+    >= 0 at -kappa, free otherwise), so their image {M^T d} is a convex cone.
+    A convex cone is all of su(N) exactly when it holds every +-e_k. Each
+    target gets one feasibility LP, M^T d = target under the bounds, in the
+    order +e_1 .. +e_n, -e_1 .. -e_n; the first infeasible target is
+    returned as the witness. A feasible answer must reproduce its target to
+    CONE_RESIDUAL_TOL, and any solver status other than optimal or
+    infeasible raises NumericalFault.
     """
     if tm.rows.shape[0] != grid.num_controls * grid.segments:
         raise ValueError(
             f"tangent map has {tm.rows.shape[0]} rows, grid has "
             f"{grid.num_controls * grid.segments} controls"
         )
-    if samples < 1:
-        raise ValueError(f"need at least one sample direction, got {samples}")
     A = tm.rows.T
     n = A.shape[0]
-    lb, ub = _variation_bounds(grid, active_tol)
-    rng = np.random.default_rng(seed)
-    worst_residual = 0.0
-    witness = None
-    for _ in range(samples):
-        w = rng.standard_normal(n)
-        nrm = np.linalg.norm(w)
-        while nrm < 1e-12:
-            w = rng.standard_normal(n)
-            nrm = np.linalg.norm(w)
-        w /= nrm
-        fit = lsq_linear(A, w, bounds=(lb, ub))
-        residual = float(np.linalg.norm(A @ fit.x - w))
-        if residual > CONE_RESIDUAL_TOL and residual > worst_residual:
-            worst_residual = residual
-            witness = w
-    return witness is None, witness
+    bounds = _variation_bounds(grid, active_tol)
+    cost = np.zeros(A.shape[1])
+    for target in np.concatenate([np.eye(n), -np.eye(n)]):
+        fit = linprog(cost, A_eq=A, b_eq=target, bounds=bounds, method="highs")
+        if fit.status == 2:
+            return False, target
+        if fit.status != 0:
+            raise NumericalFault(f"cone LP failed: {fit.message}")
+        if np.linalg.norm(A @ fit.x - target) > CONE_RESIDUAL_TOL:
+            raise NumericalFault("cone LP answer does not reproduce its target")
+    return True, None
 
 
 def kappa_threshold(basis: BasisSet, T: float, Z: int) -> float:

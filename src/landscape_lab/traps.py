@@ -14,7 +14,9 @@ import numpy as np
 
 from .qdyn import BasisSet, ControlGrid, NumericalFault, propagate
 from .landscape import (
+    DEFAULT_ACTIVE_TOL,
     QuantumSystem,
+    _at_bounds,
     active_set,
     gradient,
     objective,
@@ -76,7 +78,7 @@ class Tolerances:
     hess_step: float | None = None
     root: float = 1e-10
     merge: float = 1e-6
-    active: float = 1e-9
+    active: float = DEFAULT_ACTIVE_TOL
 
     def resolved_hess_step(self, kappa: float) -> float:
         if self.hess_step is not None:
@@ -195,10 +197,8 @@ def project_ascent_gradient(
     At +kappa a positive component is outward, at -kappa a negative one; a
     zero projection is the halting condition of constrained ascent.
     """
-    thresh = active_tol * grid.kappa
     pg = np.array(grad_values, dtype=float)
-    at_upper = grid.values >= grid.kappa - thresh
-    at_lower = grid.values <= -(grid.kappa - thresh)
+    at_upper, at_lower = _at_bounds(grid, active_tol)
     pg[at_upper & (pg > 0.0)] = 0.0
     pg[at_lower & (pg < 0.0)] = 0.0
     return pg

@@ -126,7 +126,7 @@ def test_criterion_3_corner_control_is_a_boundary_trap(capsys):
 
     ver = verify_boundary_trap(inst, 1000, 1e-3 * KAPPA, 2026)
     tm = psi_tangent_map(inst.grid, basis)
-    cone_ok, witness = boundary_cone_surjectivity(inst.grid, tm, seed=2026)
+    cone_ok, witness = boundary_cone_surjectivity(inst.grid, tm)
 
     ok = (
         minus_identity < 1e-10

@@ -1,9 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from landscape_lab import build_su_basis, kappa_threshold
+from landscape_lab import build_su_basis, kappa_threshold, landscape
 from landscape_lab.cli import main
 
 KAPPA_AUTO = np.pi / np.sqrt(3.0)
@@ -28,14 +29,13 @@ class TestPayloadShape:
         assert code == 0
         assert set(payload) == {
             "config",
-            "metadata",
             "results",
             "results_hex",
             "versions",
             "wall_time_s",
         }
         assert payload["config"]["command"] == "propagate"
-        assert payload["metadata"]["beta"] == 4
+        assert payload["config"]["Z"] == 4
         assert "landscape_lab" in payload["versions"]
 
     def test_hex_mirror_round_trips(self, tmp_path):
@@ -127,6 +127,32 @@ class TestExitCodes:
     def test_bad_coordinate_rejected(self, tmp_path):
         code = main(["scan", "--steps", "3", "--coord1", "9,9"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--samples", "64"],
+            ["ce-boundary", "--cone-samples", "64"],
+            ["basis", "--seed", "1"],
+            ["propagate", "--tol-grad", "1e-8"],
+            ["census1d", "--fn", "sin", "--a", "0", "--b", "1", "--active-tol", "1e-9"],
+        ],
+    )
+    def test_flags_no_command_reads_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as se:
+            main(argv)
+        assert se.value.code == 2
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            SimpleNamespace(status=4, message="numerical difficulties", x=None),
+            SimpleNamespace(status=0, message="optimal", x=np.zeros(12)),
+        ],
+    )
+    def test_cone_solver_fault_is_numerical(self, monkeypatch, answer):
+        monkeypatch.setattr(landscape, "linprog", lambda *a, **k: answer)
+        assert main(["rank", "--grid-kind", "corner", "--kappa", "auto"]) == 3
 
 
 class TestExpectations:
@@ -255,6 +281,13 @@ class TestRankCommand:
         assert res["cone_surjective"] is False
         assert res["witness"] is not None
         assert np.linalg.norm(res["witness"]) == pytest.approx(1.0)
+
+    def test_corner_verdict_does_not_depend_on_seed(self, tmp_path):
+        argv = ["rank", "--grid-kind", "corner", "--kappa", "auto", "--seed"]
+        _, a = run_json(tmp_path, "s1.json", argv + ["1"])
+        _, b = run_json(tmp_path, "s2.json", argv + ["2"])
+        assert a["results"]["cone_surjective"] is False
+        assert a["results"]["witness"] == b["results"]["witness"]
 
 
 class TestStdout:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
+from scipy.optimize import lsq_linear
 
 from landscape_lab import (
     ControlGrid,
@@ -297,13 +298,13 @@ class TestBoundaryConeSurjectivity:
         rng = np.random.default_rng(8)
         grid = ControlGrid.uniform_random(1.0, 3.0, 3, 4, rng)
         tm = psi_tangent_map(grid, BASIS2)
-        surjective, witness = boundary_cone_surjectivity(grid, tm, seed=1)
+        surjective, witness = boundary_cone_surjectivity(grid, tm)
         assert surjective and witness is None
 
     def test_corner_grid_not_surjective(self):
         _, grid = corner_instance()
         tm = psi_tangent_map(grid, BASIS2)
-        surjective, witness = boundary_cone_surjectivity(grid, tm, seed=1)
+        surjective, witness = boundary_cone_surjectivity(grid, tm)
         assert not surjective
         assert witness is not None
         assert np.linalg.norm(witness) == pytest.approx(1.0)
@@ -314,7 +315,7 @@ class TestBoundaryConeSurjectivity:
         vals[0, 0] = 1.0
         grid = ControlGrid(1.0, 1.0, vals)
         tm = psi_tangent_map(grid, BASIS2)
-        surjective, witness = boundary_cone_surjectivity(grid, tm, seed=2)
+        surjective, witness = boundary_cone_surjectivity(grid, tm)
         assert surjective and witness is None
 
     def test_shape_mismatch(self):
@@ -322,6 +323,57 @@ class TestBoundaryConeSurjectivity:
         tm = psi_tangent_map(ControlGrid.zeros(1.0, 1.0, 3, 1), BASIS2)
         with pytest.raises(ValueError):
             boundary_cone_surjectivity(grid, tm)
+
+
+def cone_residual(A, lb, ub, w):
+    """|A d - w| at the sign-constrained least-squares fit d."""
+    # The trust-region solver multiplies infinite bounds by zero on the way;
+    # its answer is unaffected.
+    with np.errstate(invalid="ignore"):
+        fit = lsq_linear(A, w, bounds=(lb, ub))
+    return float(np.linalg.norm(A @ fit.x - w))
+
+
+def sampled_cone_test(grid, tm, samples=64, seed=0):
+    """The sampled cone test the LP certificate replaced, kept as a reference.
+
+    Returns (surjective, lb, ub): surjective is False when any of `samples`
+    seeded unit directions lies farther than 1e-8 from the admissible cone.
+    """
+    A = tm.rows.T
+    edge = grid.kappa - 1e-9 * grid.kappa
+    vals = grid.values.ravel()
+    lb = np.where(vals <= -edge, 0.0, -np.inf)
+    ub = np.where(vals >= edge, 0.0, np.inf)
+    rng = np.random.default_rng(seed)
+    surjective = True
+    for _ in range(samples):
+        w = rng.standard_normal(A.shape[0])
+        if cone_residual(A, lb, ub, w / np.linalg.norm(w)) > 1e-8:
+            surjective = False
+    return surjective, lb, ub
+
+
+class TestConeCertificateAgainstSampling:
+    def test_verdicts_and_witnesses_match_the_sampled_test(self):
+        verdicts = []
+        for N in (2, 3):
+            basis = build_su_basis(N)
+            for Z in range(1, 6):
+                for s in range(3):
+                    rng = np.random.default_rng([N, Z, s])
+                    vals = rng.uniform(-0.9, 0.9, (basis.size, Z))
+                    active = rng.random(vals.shape) < rng.random()
+                    vals[active] = rng.choice([-1.0, 1.0], size=int(active.sum()))
+                    grid = ControlGrid(1.0, 1.0, vals)
+                    tm = psi_tangent_map(grid, basis)
+                    surjective, witness = boundary_cone_surjectivity(grid, tm)
+                    sampled, lb, ub = sampled_cone_test(grid, tm)
+                    assert surjective == sampled, (N, Z, s)
+                    if witness is not None:
+                        assert cone_residual(tm.rows.T, lb, ub, witness) > 1e-8
+                    verdicts.append(surjective)
+        assert True in verdicts and False in verdicts
 
 
 class TestKappaThreshold:
