@@ -19,9 +19,11 @@ from .qdyn import (
     BasisSet,
     ControlGrid,
     NumericalFault,
+    _blocks,
     _dagger,
     _divided_differences,
     _hamiltonian_stack,
+    _horizon_propagators,
     _ordered_products,
     _segment_kernel,
 )
@@ -106,6 +108,12 @@ class ObjectiveRange:
         return self.j_max - self.j_min
 
 
+def _check_finite_gradient(vals: np.ndarray) -> None:
+    """A gradient, or a stack of them, must have only finite entries."""
+    if not np.isfinite(vals).all():
+        raise ValueError("gradient entries must be finite")
+
+
 @dataclass(frozen=True)
 class LandscapeGradient:
     """Exact partials dJ/d eps_{j,z}, same (num_controls, Z) layout as the grid."""
@@ -116,8 +124,7 @@ class LandscapeGradient:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError(f"gradient must be a 2-D matrix, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("gradient entries must be finite")
+        _check_finite_gradient(vals)
         object.__setattr__(self, "values", _frozen(vals))
 
     @property
@@ -157,17 +164,44 @@ class TangentMap:
         return np.tensordot(self.rows[r] / np.sqrt(2.0), basis.stack, axes=1)
 
 
+def _objective_values(system: QuantumSystem, U: np.ndarray) -> np.ndarray:
+    """J = Re Tr[O_hat U rho0 U^dag] for every U of a (..., N, N) stack.
+
+    A U that is not unitary within tolerance is a ValueError; a trace with an
+    imaginary part, or a J that is not finite, is a NumericalFault.
+    """
+    defect = np.linalg.norm(_dagger(U) @ U - np.eye(system.dim), axis=(-2, -1))
+    if (defect > OBJECTIVE_UNITARITY_TOL).any():
+        raise ValueError("U is not unitary within tolerance")
+    val = np.trace(system.observable @ U @ system.rho0 @ _dagger(U), axis1=-2, axis2=-1)
+    imag = np.abs(val.imag).max()
+    if imag >= OBJECTIVE_IMAG_TOL:
+        raise NumericalFault(f"objective trace has imaginary part {imag}")
+    if not np.isfinite(val.real).all():
+        raise NumericalFault("objective is not finite")
+    return val.real
+
+
 def objective(system: QuantumSystem, U: np.ndarray) -> float:
     """J = Re Tr[O_hat U rho0 U^dag] for a unitary U."""
     U = np.asarray(U, dtype=complex)
     if U.shape != (system.dim, system.dim):
         raise ValueError(f"expected a {system.dim}x{system.dim} unitary, got {U.shape}")
-    if np.linalg.norm(U.conj().T @ U - np.eye(system.dim)) > OBJECTIVE_UNITARITY_TOL:
-        raise ValueError("U is not unitary within tolerance")
-    val = np.trace(system.observable @ U @ system.rho0 @ U.conj().T)
-    if abs(val.imag) >= OBJECTIVE_IMAG_TOL:
-        raise NumericalFault(f"objective trace has imaginary part {val.imag}")
-    return float(val.real)
+    return float(_objective_values(system, U))
+
+
+def _objective_stack(
+    system: QuantumSystem, values: np.ndarray, dt: float, basis: BasisSet
+) -> np.ndarray:
+    """J at every grid of a (K, size, Z) value stack, as K values.
+
+    The grids are propagated in blocks of at most BLOCK_SEGMENTS segments,
+    each block one kernel call, under the checks of propagate and objective.
+    """
+    return np.concatenate([
+        _objective_values(system, _horizon_propagators(values[b], dt, basis))
+        for b in _blocks(len(values), values.shape[-1])
+    ])
 
 
 def objective_range(system: QuantumSystem) -> ObjectiveRange:
@@ -182,23 +216,43 @@ def objective_range(system: QuantumSystem) -> ObjectiveRange:
 
 
 def _basis_pairing(A: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Re Tr[B_k A_i] for a (m, N, N) stack A, as an (m, size) matrix.
+    """Re Tr[B_k A_i] for the m matrices of a (..., N, N) stack, as an (m, size) matrix.
 
     As B_k is Hermitian, Re Tr[B_k A] is the real dot product of the
-    interleaved (re, im) entries of B_k and A.
+    interleaved (re, im) entries of B_k and A. The product is returned
+    itself, not a reshaped view, so numpy can reuse its buffer for a
+    caller's arithmetic on it.
     """
-    m, dim = A.shape[0], basis.dim
-    flat_a = np.ascontiguousarray(A).reshape(m, dim * dim).view(float)
+    dim = basis.dim
+    flat_a = np.ascontiguousarray(A).reshape(-1, dim * dim).view(float)
     return flat_a @ basis.stack.reshape(basis.size, dim * dim).view(float).T
 
 
-def _segment_products(grid: ControlGrid, basis: BasisSet) -> tuple:
-    """Prefix products P[z] = U_z ... U_1 (P[0] = I) and, per segment, the
-    eigenvalues lam, eigenvectors V and divided-difference table K with
-    dU_z/d eps_{j,z} = V (K o V^dag B_j V) V^dag.
+def _segment_products(values: np.ndarray, dt: float, basis: BasisSet) -> tuple:
+    """For a (..., size, Z) value stack: prefix products P[..., z] = U_z ... U_1
+    (P[..., 0] = I) and, per segment, the eigenvalues lam, eigenvectors V and
+    divided-difference table K with dU_z/d eps_{j,z} = V (K o V^dag B_j V) V^dag.
     """
-    lam, V, U = _segment_kernel(_hamiltonian_stack(grid, basis), grid.dt)
-    return _ordered_products(U), lam, V, _divided_differences(lam, grid.dt)
+    lam, V, U = _segment_kernel(_hamiltonian_stack(values, basis), dt)
+    return _ordered_products(U), lam, V, _divided_differences(lam, dt)
+
+
+def _gradient_values(
+    system: QuantumSystem, values: np.ndarray, dt: float, basis: BasisSet
+) -> np.ndarray:
+    """dJ/d eps (see gradient) at every grid of a (..., size, Z) value stack."""
+    if system.dim != basis.dim:
+        raise ValueError(f"system dim {system.dim} != basis dim {basis.dim}")
+    P, _, V, K = _segment_products(values, dt, basis)
+    total = P[..., -1, :, :]
+    C = system.rho0 @ _dagger(total) @ system.observable @ total
+    W = P[..., :-1, :, :] @ C[..., None, :, :] @ _dagger(P[..., 1:, :, :])
+    Vh = _dagger(V)
+    G = V @ (K * (Vh @ W @ V)) @ Vh
+    pairs = _basis_pairing(G, basis).reshape(G.shape[:-2] + (basis.size,))
+    g = 2.0 * np.swapaxes(pairs, -1, -2)
+    _check_finite_gradient(g)
+    return g
 
 
 def gradient(system: QuantumSystem, grid: ControlGrid, basis: BasisSet) -> LandscapeGradient:
@@ -209,15 +263,7 @@ def gradient(system: QuantumSystem, grid: ControlGrid, basis: BasisSet) -> Lands
     table is symmetric, this equals 2 Re Tr[B_j G_z] with one N x N matrix
     G_z = V (K o V^dag W_z V) V^dag per segment.
     """
-    if system.dim != basis.dim:
-        raise ValueError(f"system dim {system.dim} != basis dim {basis.dim}")
-    P, _, V, K = _segment_products(grid, basis)
-    total = P[-1]
-    C = system.rho0 @ _dagger(total) @ system.observable @ total
-    W = P[:-1] @ C @ _dagger(P[1:])
-    Vh = _dagger(V)
-    G = V @ (K * (Vh @ W @ V)) @ Vh
-    return LandscapeGradient(2.0 * _basis_pairing(G, basis).T)
+    return LandscapeGradient(_gradient_values(system, grid.values, grid.dt, basis))
 
 
 def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
@@ -229,7 +275,7 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     E[a, b] = exp(i lam_a dt). Each row is checked to be Hermitian traceless
     before projection onto {B_k / sqrt(2)}.
     """
-    P, lam, V, K = _segment_products(grid, basis)
+    P, lam, V, K = _segment_products(grid.values, grid.dt, basis)
     Z, n, dim = grid.segments, basis.size, basis.dim
     Vh = _dagger(V)
     M = np.exp(1j * grid.dt * lam)[:, :, None] * K

@@ -30,6 +30,10 @@ UNITARITY_TOL = 1e-12
 DETERMINANT_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 
+# A batched kernel call holds at most about this many segment matrices, so
+# the memory of evaluating many grids stays bounded; see _blocks.
+BLOCK_SEGMENTS = 2048
+
 
 class NumericalFault(RuntimeError):
     """A computed quantity broke an internal invariant (not a bad input)."""
@@ -192,19 +196,7 @@ class PropagationResult:
         total = np.asarray(self.total, dtype=complex)
         if total.shape != segs.shape[1:]:
             raise ValueError(f"total has shape {total.shape}, segments {segs.shape[1:]}")
-        # Frobenius unitarity defect of every segment and, last, of the total.
-        both = np.concatenate((segs, total[None]))
-        gram = _dagger(both) @ both - np.eye(total.shape[0])
-        defect = np.linalg.norm(gram.reshape(len(both), -1), axis=1)
-        bad = np.flatnonzero(defect > UNITARITY_TOL)
-        if bad.size and bad[0] < len(segs):
-            raise NumericalFault(f"segment unitary {bad[0]} failed the unitarity check")
-        if bad.size:
-            raise NumericalFault("total propagator failed the unitarity check")
-        if abs(np.linalg.det(total) - 1.0) > DETERMINANT_TOL:
-            raise NumericalFault("total propagator is not special unitary")
-        if np.max(np.abs(_ordered_product(segs) - total)) > UNITARITY_TOL:
-            raise NumericalFault("total does not equal the ordered segment product")
+        _check_propagation(segs, total)
         object.__setattr__(self, "segment_unitaries", tuple(_frozen(segs)))
         object.__setattr__(self, "total", _frozen(total))
 
@@ -257,35 +249,41 @@ def assemble_segment_hamiltonian(
     return np.tensordot(grid.values[:, z - 1], basis.stack, axes=1)
 
 
-def _hamiltonian_stack(grid: ControlGrid, basis: BasisSet) -> np.ndarray:
-    """All Z segment Hamiltonians as one (Z, dim, dim) stack."""
-    if basis.size != grid.num_controls:
+def _hamiltonian_stack(values: np.ndarray, basis: BasisSet) -> np.ndarray:
+    """Segment Hamiltonians of a (..., size, Z) stack of control values.
+
+    The result is a (..., Z, dim, dim) stack: one grid's Z Hamiltonians, or
+    those of every grid along the leading axes.
+    """
+    if values.shape[-2] != basis.size:
         raise ValueError(
-            f"grid has {grid.num_controls} control rows but the basis "
+            f"grid has {values.shape[-2]} control rows but the basis "
             f"provides {basis.size} generators"
         )
     n, dim = basis.size, basis.dim
-    return (grid.values.T @ basis.stack.reshape(n, dim * dim)).reshape(-1, dim, dim)
+    H = np.swapaxes(values, -1, -2) @ basis.stack.reshape(n, dim * dim)
+    return H.reshape(H.shape[:-1] + (dim, dim))
 
 
 def _segment_kernel(H: np.ndarray, dt: float) -> tuple:
-    """(lam, V, U) for a (Z, dim, dim) stack of Hermitian Hamiltonians.
+    """(lam, V, U) for a (..., Z, dim, dim) stack of Hermitian Hamiltonians.
 
     One batched eigendecomposition H_z = V_z diag(lam_z) V_z^dag gives every
     segment unitary U_z = exp(-i H_z dt), exactly unitary up to roundoff
-    because the eigenphases have unit modulus.
+    because the eigenphases have unit modulus. Leading axes beyond the
+    segment axis index grids evaluated together.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 3 or H.shape[1] != H.shape[2]:
-        raise ValueError(f"expected a (Z, n, n) stack, got shape {H.shape}")
+    if H.ndim < 3 or H.shape[-1] != H.shape[-2]:
+        raise ValueError(f"expected a (..., Z, n, n) stack, got shape {H.shape}")
     if dt < 0.0:
         raise ValueError(f"time step must be nonnegative, got {dt}")
     Hh = _dagger(H)
-    scale = np.maximum(1.0, np.max(np.abs(H), axis=(1, 2)))
-    if np.any(np.max(np.abs(H - Hh), axis=(1, 2)) > HERMITICITY_TOL * scale):
+    scale = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
+    if np.any(np.max(np.abs(H - Hh), axis=(-2, -1)) > HERMITICITY_TOL * scale):
         raise ValueError("Hamiltonian stack is not Hermitian within tolerance")
     lam, V = np.linalg.eigh((H + Hh) / 2.0)
-    U = (V * np.exp(-1j * dt * lam)[:, None, :]) @ _dagger(V)
+    U = (V * np.exp(-1j * dt * lam)[..., None, :]) @ _dagger(V)
     return lam, V, U
 
 
@@ -297,29 +295,67 @@ def _divided_differences(lam: np.ndarray, dt: float) -> np.ndarray:
     degeneracy threshold and reduces to f'(a) on the diagonal. The derivative
     of U_z along a Hermitian D is V_z (K_z o V_z^dag D V_z) V_z^dag.
     """
-    a = lam[:, :, None]
-    b = lam[:, None, :]
+    a = lam[..., :, None]
+    b = lam[..., None, :]
     return -1j * dt * np.exp(-0.5j * dt * (a + b)) * np.sinc(0.5 * dt * (a - b) / np.pi)
 
 
-def _ordered_product(U: np.ndarray) -> np.ndarray:
-    """U_Z ... U_1 for a (Z, n, n) stack; bitwise equal to _ordered_products(U)[-1]."""
-    total = U[0]
-    for u in U[1:]:
-        total = u @ total
-    return total
+def _blocks(count: int, segments: int) -> list:
+    """Slices that split `count` items of `segments` segment matrices each
+    into blocks of at most BLOCK_SEGMENTS matrices (one item at least)."""
+    step = max(1, BLOCK_SEGMENTS // segments)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def _ordered_products(U: np.ndarray) -> np.ndarray:
-    """Prefix products P[z] = U_z ... U_1 of a (Z, n, n) stack, P[0] = I."""
-    P = np.empty((U.shape[0] + 1,) + U.shape[1:], dtype=complex)
-    P[0] = np.eye(U.shape[1])
-    for z in range(U.shape[0]):
-        np.matmul(U[z], P[z], out=P[z + 1])
+    """Prefix products P[..., z] = U_z ... U_1 of a (..., Z, n, n) stack, P[..., 0] = I.
+
+    The last prefix, P[..., Z], is the horizon propagator.
+    """
+    Z = U.shape[-3]
+    P = np.empty(U.shape[:-3] + (Z + 1,) + U.shape[-2:], dtype=complex)
+    # Views with the segment axis first, so that the loop indexes one axis.
+    Us, Ps = U.swapaxes(0, -3), P.swapaxes(0, -3)
+    Ps[0] = np.eye(U.shape[-1])
+    for z in range(Z):
+        np.matmul(Us[z], Ps[z], out=Ps[z + 1])
     return P
+
+
+def _check_propagation(segs: np.ndarray, total: np.ndarray = None) -> np.ndarray:
+    """The invariants of a propagation, over a (..., Z, n, n) segment stack.
+
+    Every segment and every (..., n, n) total must be unitary in Frobenius
+    norm, and every total must have determinant 1 and equal the ordered
+    product of its segments; otherwise NumericalFault names the first
+    failure. Without a total, the ordered product is the total. Returns
+    the checked total.
+    """
+    product = _ordered_products(segs)[..., -1, :, :]
+    if total is None:
+        total = product
+    both = np.concatenate((segs, total[..., None, :, :]), axis=-3)
+    gram = _dagger(both) @ both - np.eye(total.shape[-1])
+    bad = np.linalg.norm(gram, axis=(-2, -1)) > UNITARITY_TOL
+    if bad.any():
+        z = np.argwhere(bad)[0][-1]
+        if z < segs.shape[-3]:
+            raise NumericalFault(f"segment unitary {z} failed the unitarity check")
+        raise NumericalFault("total propagator failed the unitarity check")
+    if (np.abs(np.linalg.det(total) - 1.0) > DETERMINANT_TOL).any():
+        raise NumericalFault("total propagator is not special unitary")
+    if np.abs(product - total).max() > UNITARITY_TOL:
+        raise NumericalFault("total does not equal the ordered segment product")
+    return total
+
+
+def _horizon_propagators(values: np.ndarray, dt: float, basis: BasisSet) -> np.ndarray:
+    """Horizon propagators of a (..., size, Z) value stack, checked like propagate's."""
+    _, _, U = _segment_kernel(_hamiltonian_stack(values, basis), dt)
+    return _check_propagation(U)
 
 
 def propagate(grid: ControlGrid, basis: BasisSet) -> PropagationResult:
     """Segment unitaries and the horizon propagator U_Z ... U_1."""
-    _, _, U = _segment_kernel(_hamiltonian_stack(grid, basis), grid.dt)
-    return PropagationResult(U, _ordered_product(U))
+    _, _, U = _segment_kernel(_hamiltonian_stack(grid.values, basis), grid.dt)
+    return PropagationResult(U, _ordered_products(U)[-1])

@@ -12,11 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qdyn import BasisSet, ControlGrid, NumericalFault, propagate
+from .qdyn import BasisSet, ControlGrid, NumericalFault, _blocks, propagate
 from .landscape import (
     DEFAULT_ACTIVE_TOL,
     QuantumSystem,
     _at_bounds,
+    _gradient_values,
+    _objective_stack,
     active_set,
     gradient,
     objective,
@@ -59,6 +61,9 @@ DEGENERATE_RANGE_WIDTH = 1e-15
 # eps |J|. J is a trace through Z segment exponentials; on the corner-trap
 # qubit its error against 40-digit arithmetic stays below 11 of these units.
 OBJECTIVE_ROUNDING_ULPS = 16.0
+
+# Trial steps of the ascent's halving ladder evaluated by one batched call.
+LINE_SEARCH_CHUNK = 16
 
 
 def _objective_rounding(j_value: float) -> float:
@@ -213,27 +218,26 @@ def finite_difference_hessian(
 ) -> np.ndarray:
     """Central differences of the analytic gradient on the free coordinates.
 
-    Probes may step outside the admissible box, so they bypass the bound
-    check on construction. Returned matrix is the raw (unsymmetrized) FD
-    estimate.
+    Probes may step outside the admissible box. Each block of columns takes
+    its + and - probes as one batched gradient of at most about
+    BLOCK_SEGMENTS segment matrices. Returned matrix is the raw
+    (unsymmetrized) FD estimate.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    flat = grid.values.ravel()
-    m = len(free_indices)
+    free = np.asarray(free_indices, dtype=int)
+    m = free.size
     H = np.empty((m, m))
-    for col, idx in enumerate(free_indices):
-        plus = flat.copy()
-        plus[idx] += step
-        minus = flat.copy()
-        minus[idx] -= step
-        gp = gradient(
-            system, grid.with_values(plus.reshape(grid.values.shape), validate=False), basis
-        ).values.ravel()
-        gm = gradient(
-            system, grid.with_values(minus.reshape(grid.values.shape), validate=False), basis
-        ).values.ravel()
-        H[:, col] = (gp[free_indices] - gm[free_indices]) / (2.0 * step)
+    for block in _blocks(m, 2 * grid.segments):
+        cols = free[block]
+        b = cols.size
+        probes = np.tile(grid.values.ravel(), (2 * b, 1))
+        probes[np.arange(b), cols] += step
+        probes[np.arange(b, 2 * b), cols] -= step
+        g = _gradient_values(
+            system, probes.reshape((2 * b,) + grid.values.shape), grid.dt, basis
+        ).reshape(2 * b, -1)[:, free]
+        H[:, block] = ((g[:b] - g[b:]) / (2.0 * step)).T
     return H
 
 
@@ -331,21 +335,22 @@ def gradient_ascent(
 ) -> AscentTrace:
     """Projected gradient ascent with backtracking (halving) line search.
 
-    The trial step is kappa / |projected gradient| so the first candidate
-    moves by about one box radius; acceptance requires the Armijo fraction
-    of the first-order gain predicted for the realized (clipped)
-    displacement. Converges when the projected gradient norm drops below
-    params.gtol, or when the line search reaches a step whose predicted gain
-    is within the rounding of J: no shorter step can raise J by more than
-    rounding, so the point is critical to working precision. Otherwise stops
-    when the line search stalls or max_iters is reached.
+    The trial steps are s0 2^-k, k < params.max_backtracks, from
+    s0 = kappa / |projected gradient|, so the first candidate moves by about
+    one box radius; acceptance requires the Armijo fraction of the
+    first-order gain predicted for the realized (clipped) displacement, and
+    the first step in ladder order that passes is taken. The ladder is
+    evaluated LINE_SEARCH_CHUNK steps per batched call, and cut where a
+    step's predicted gain is not positive (the line search stalls) or is
+    within the rounding of J: no shorter step can raise J by more than
+    rounding, so the point is critical to working precision and the run
+    converges. It also converges when the projected gradient norm drops
+    below params.gtol, and otherwise stops when max_iters is reached.
     """
     grid = start
     vals = np.array(start.values)
     kappa = start.kappa
     J = objective(system, propagate(grid, basis).total)
-    if not np.isfinite(J):
-        raise NumericalFault("non-finite objective at the starting point")
     g = gradient(system, grid, basis).values
     pg = project_ascent_gradient(grid, g, tol.active)
     pnorm = float(np.linalg.norm(pg))
@@ -353,30 +358,30 @@ def gradient_ascent(
     converged = pnorm < params.gtol
     it = 0
     while not converged and it < params.max_iters:
-        s = kappa / pnorm if kappa > 0.0 else 1.0 / pnorm
+        s0 = kappa / pnorm if kappa > 0.0 else 1.0 / pnorm
+        ladder = s0 * 0.5 ** np.arange(params.max_backtracks)
         accepted = False
-        for _ in range(params.max_backtracks):
-            cand = np.clip(vals + s * pg, -kappa, kappa)
-            delta = cand - vals
-            predicted = float(np.sum(g * delta))
-            if predicted <= 0.0:
+        for lo in range(0, ladder.size, LINE_SEARCH_CHUNK):
+            steps = ladder[lo : lo + LINE_SEARCH_CHUNK]
+            cands = np.clip(vals + steps[:, None, None] * pg, -kappa, kappa)
+            predicted = (g * (cands - vals)).reshape(steps.size, -1).sum(axis=1)
+            cut = np.flatnonzero(predicted <= _objective_rounding(J))
+            live = cut[0] if cut.size else steps.size
+            if live:
+                Jc = _objective_stack(system, cands[:live], grid.dt, basis)
+                passed = np.flatnonzero(Jc >= J + params.armijo * predicted[:live])
+                if passed.size:
+                    accepted = True
+                    break
+            if cut.size:
+                converged = bool(predicted[live] > 0.0)
                 break
-            if predicted <= _objective_rounding(J):
-                converged = True
-                break
-            cand_grid = grid.with_values(cand)
-            Jc = objective(system, propagate(cand_grid, basis).total)
-            if not np.isfinite(Jc):
-                raise NumericalFault("non-finite objective during line search")
-            if Jc >= J + params.armijo * predicted:
-                accepted = True
-                break
-            s *= 0.5
         if not accepted:
             break
-        vals = cand
-        grid = cand_grid
-        J = Jc
+        k = passed[0]
+        vals = cands[k]
+        grid = grid.with_values(vals)
+        J = float(Jc[k])
         g = gradient(system, grid, basis).values
         pg = project_ascent_gradient(grid, g, tol.active)
         pnorm = float(np.linalg.norm(pg))

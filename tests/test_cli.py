@@ -154,8 +154,22 @@ class TestExitCodes:
         monkeypatch.setattr(landscape, "linprog", lambda *a, **k: answer)
         assert main(["rank", "--grid-kind", "corner", "--kappa", "auto"]) == 3
 
+    @pytest.mark.usefixtures("non_unitary_trial_segment")
+    def test_non_unitary_line_search_segment_is_numerical(self):
+        assert main(["ascent", "--start", "random", "--seed", "3"]) == 3
+
 
 class TestExpectations:
+    def test_corner_with_an_inward_escape_reports_no_trap(self, tmp_path):
+        argv = ["ce-boundary", "--kappa", "0.5", "--samples", "200", "--seed", "3"]
+        code, payload = run_json(tmp_path, "t.json", argv)
+        assert code == 0
+        assert payload["results"]["is_trap"] is False
+        assert payload["results"]["max_inward_gain"] > 1e-10
+        code, text = run_to_file(tmp_path, "t.csv", argv + ["--format", "csv"])
+        assert code == 0
+        assert "is_trap,false" in text.split("\n")
+
     def test_expect_trap_passes_on_reference_instance(self, tmp_path):
         code, payload = run_json(
             tmp_path,

@@ -15,6 +15,7 @@ from landscape_lab import (
     boundary_trap_instance,
     build_su_basis,
     corner_escape_analysis,
+    objective,
     propagate,
     psi_tangent_map,
     slice_census_2d,
@@ -120,6 +121,50 @@ class TestTrapVerification:
         assert not v.is_trap
         assert v.j_at_corner == pytest.approx(v.j_global_max, abs=1e-10)
         assert v.trap_order is None
+
+    def test_corner_with_an_inward_escape_is_no_trap(self):
+        # at kappa 0.5 the corner sits below the maximum but an inward probe gains
+        inst = boundary_trap_instance(1.0, 4, 0.5)
+        v = verify_boundary_trap(inst, 200, 5e-4, 3)
+        assert v.max_inward_gain > 1e-10
+        assert v.j_at_corner < v.j_global_max - 1e-6
+        assert v.is_trap is False
+        assert type(v.max_inward_gain) is float
+        assert v.trap_order is None
+
+    @pytest.mark.parametrize("zero_first_draw", [False, True])
+    def test_batched_probes_match_a_per_probe_loop(self, monkeypatch, zero_first_draw):
+        inst = reference_instance()
+        grid, seed, radius = inst.grid, 42, 1e-3 * KAPPA
+        if zero_first_draw:
+            # A first draw of norm 0 must be redrawn, as in the per-probe loop.
+            real_rng = np.random.default_rng
+
+            class ZeroFirst:
+                def __init__(self, seed):
+                    self.rng, self.first = real_rng(seed), True
+
+                def standard_normal(self, size):
+                    v = self.rng.standard_normal(size=size)
+                    if self.first:
+                        self.first = False
+                        return np.zeros(size)
+                    return v
+
+            monkeypatch.setattr(np.random, "default_rng", ZeroFirst)
+        j_corner = objective(inst.system, propagate(grid, BASIS2).total)
+        rng = np.random.default_rng(seed)
+        gains = []
+        for _ in range(1000):
+            v = rng.standard_normal(size=grid.values.shape)
+            while np.linalg.norm(v) < 1e-12:
+                v = rng.standard_normal(size=grid.values.shape)
+            d = -np.abs(v) * (radius / np.linalg.norm(v))  # every control sits at +kappa
+            pert = grid.with_values(np.clip(grid.values + d, -KAPPA, KAPPA))
+            gains.append(objective(inst.system, propagate(pert, BASIS2).total) - j_corner)
+        v = corner_escape_analysis(inst.system, grid, BASIS2, 1000, radius, seed)
+        assert v.max_inward_gain == max(gains)
+        assert v.max_inward_gain <= 1e-10
 
     def test_escape_analysis_argument_errors(self):
         inst = reference_instance()

@@ -246,7 +246,7 @@ class TestBatchedKernelAgainstLoop:
         system = random_system(N, rng)
         units, dunits, grad, rows = loop_reference(system, grid, basis)
 
-        lam, V, U = _segment_kernel(_hamiltonian_stack(grid, basis), grid.dt)
+        lam, V, U = _segment_kernel(_hamiltonian_stack(grid.values, basis), grid.dt)
         K = _divided_differences(lam, grid.dt)
         np.testing.assert_allclose(U, units, atol=1e-13)
         for z in range(Z):

@@ -22,6 +22,8 @@ from landscape_lab import (
     project_ascent_gradient,
     propagate,
 )
+from landscape_lab import landscape, qdyn
+from landscape_lab.traps import _objective_rounding
 
 BASIS2 = build_su_basis(2)
 SIGMA_Z = BASIS2.elements[2]
@@ -348,3 +350,162 @@ class TestCensus1D:
             critical_value_census_1d(np.sin, np.cos, (1.0, 1.0), 100)
         with pytest.raises(ValueError):
             critical_value_census_1d(np.sin, np.cos, (0.0, 1.0), 1)
+
+
+def sequential_ascent(system, start, basis, params=AscentSettings(), tol=Tolerances()):
+    """The projected ascent with one propagate and objective per halving.
+
+    The reference for the chunked line search: (iterates, converged, final grid).
+    """
+    grid, vals, kappa = start, np.array(start.values), start.kappa
+    J = objective(system, propagate(grid, basis).total)
+    g = gradient(system, grid, basis).values
+    pg = project_ascent_gradient(grid, g, tol.active)
+    pnorm = float(np.linalg.norm(pg))
+    trace = [(0, J, pnorm)]
+    converged = pnorm < params.gtol
+    it = 0
+    while not converged and it < params.max_iters:
+        s = kappa / pnorm if kappa > 0.0 else 1.0 / pnorm
+        accepted = False
+        for _ in range(params.max_backtracks):
+            cand = np.clip(vals + s * pg, -kappa, kappa)
+            predicted = float(np.sum(g * (cand - vals)))
+            if predicted <= 0.0:
+                break
+            if predicted <= _objective_rounding(J):
+                converged = True
+                break
+            Jc = objective(system, propagate(grid.with_values(cand), basis).total)
+            if Jc >= J + params.armijo * predicted:
+                accepted = True
+                break
+            s *= 0.5
+        if not accepted:
+            break
+        vals, grid, J = cand, grid.with_values(cand), Jc
+        g = gradient(system, grid, basis).values
+        pg = project_ascent_gradient(grid, g, tol.active)
+        pnorm = float(np.linalg.norm(pg))
+        it += 1
+        trace.append((it, J, pnorm))
+        converged = pnorm < params.gtol
+    return tuple(trace), converged, grid
+
+
+def random_qutrit_system():
+    rng = np.random.default_rng(2024)
+    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    psi /= np.linalg.norm(psi)
+    X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return QuantumSystem(3, np.outer(psi, psi.conj()), (X + X.conj().T) / 2.0)
+
+
+def assert_same_run(system, start, basis):
+    trace = gradient_ascent(system, start, basis)
+    iterates, converged, final = sequential_ascent(system, start, basis)
+    assert trace.iterates == iterates
+    assert trace.converged == converged
+    np.testing.assert_array_equal(trace.terminal.location.values, final.values)
+    assert trace.terminal.classification == classify_point(system, final, basis).classification
+
+
+class TestChunkedLineSearch:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_corner_qubit_census_starts_match_sequential_halving(self, seed):
+        start = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(seed))
+        assert_same_run(corner_system(), start, BASIS2)
+
+    @pytest.mark.parametrize("kappa", [0.2, 0.4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_qutrit_matches_sequential_halving(self, kappa, seed):
+        # kappa 0.2 ends every run on the boundary, 0.4 mostly inside.
+        basis = build_su_basis(3)
+        start = ControlGrid.uniform_random(1.0, kappa, 8, 5, np.random.default_rng(seed))
+        assert_same_run(random_qutrit_system(), start, basis)
+
+
+class TestLineSearchFaults:
+    @pytest.mark.usefixtures("non_unitary_trial_segment")
+    def test_non_unitary_trial_segment_is_a_fault(self):
+        start = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(3))
+        with pytest.raises(NumericalFault, match="segment unitary 3"):
+            gradient_ascent(corner_system(), start, BASIS2)
+
+    def test_non_finite_trial_objective_is_a_fault(self, monkeypatch):
+        real = landscape._horizon_propagators
+
+        def totals(values, dt, basis):
+            U = real(values, dt, basis)
+            U[-1] = np.nan
+            return U
+
+        monkeypatch.setattr(landscape, "_horizon_propagators", totals)
+        start = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(3))
+        with pytest.raises(NumericalFault, match="not finite"):
+            gradient_ascent(corner_system(), start, BASIS2)
+
+
+def column_loop_hessian(system, grid, basis, free, step):
+    """One pair of gradient calls per free column: the blocked Hessian's reference."""
+    flat = grid.values.ravel()
+    H = np.empty((len(free), len(free)))
+    for col, idx in enumerate(free):
+        g = []
+        for sign in (1.0, -1.0):
+            v = flat.copy()
+            v[idx] += sign * step
+            probe = grid.with_values(v.reshape(grid.values.shape), validate=False)
+            g.append(gradient(system, probe, basis).values.ravel()[free])
+        H[:, col] = (g[0] - g[1]) / (2.0 * step)
+    return H
+
+
+class TestBlockedHessian:
+    @pytest.mark.parametrize(
+        "N,Z,free,block",
+        [
+            (2, 4, list(range(12)), None),
+            (2, 4, [0, 2, 3, 5, 7, 8, 11], 40),  # 5 columns a block: blocks 5 and 2
+            (2, 4, [1, 4, 6], 3),  # a column alone is over the bound
+            (3, 7, list(range(0, 56, 3)), None),
+        ],
+    )
+    def test_matches_column_loop(self, monkeypatch, N, Z, free, block):
+        rng = np.random.default_rng(10 * N + Z)
+        basis = build_su_basis(N)
+        system = random_qutrit_system() if N == 3 else random_instance(5)[0]
+        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, Z, rng)
+        if block is not None:
+            monkeypatch.setattr(qdyn, "BLOCK_SEGMENTS", block)
+        H = finite_difference_hessian(system, grid, basis, free, 1e-4)
+        want = column_loop_hessian(system, grid, basis, free, 1e-4)
+        assert np.max(np.abs(H - want)) <= 1e-12
+
+    def test_non_finite_probe_gradient_is_rejected(self, monkeypatch):
+        real = landscape._segment_kernel
+
+        def kernel(H, dt):
+            lam, V, U = real(H, dt)
+            return lam, V, np.full_like(U, np.nan)
+
+        monkeypatch.setattr(landscape, "_segment_kernel", kernel)
+        grid = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="gradient entries must be finite"):
+            finite_difference_hessian(corner_system(), grid, BASIS2, [0, 5], 1e-4)
+
+    def test_classify_point_kernel_calls_stay_within_the_block(self, monkeypatch):
+        sizes = []
+        real = qdyn._segment_kernel
+
+        def spy(H, dt):
+            sizes.append(int(np.prod(np.shape(H)[:-2])))
+            return real(H, dt)
+
+        monkeypatch.setattr(qdyn, "_segment_kernel", spy)
+        monkeypatch.setattr(landscape, "_segment_kernel", spy)
+        basis = build_su_basis(3)
+        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, 50, np.random.default_rng(1))
+        classify_point(random_qutrit_system(), grid, basis)
+        assert max(sizes) <= qdyn.BLOCK_SEGMENTS
+        assert max(sizes) > grid.segments  # the probes do run batched
