@@ -29,11 +29,11 @@ from .qdyn import ControlGrid, NumericalFault, build_su_basis, propagate
 from .landscape import (
     DEFAULT_ACTIVE_TOL,
     QuantumSystem,
+    _gradient_stack,
+    _objective_stack,
     boundary_cone_surjectivity,
-    gradient,
     kappa_threshold,
     local_surjectivity_rank,
-    objective,
     psi_tangent_map,
 )
 from .traps import (
@@ -220,19 +220,17 @@ def _cmd_scan(args):
         if not (1 <= j <= basis.size and 1 <= z <= args.Z):
             raise ValueError(f"coordinate ({j}, {z}) outside the control grid")
     axis = np.linspace(-kappa, kappa, args.steps)
+    c1, c2 = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+    stack = np.repeat(grid.values[None], c1.size, axis=0)
+    stack[:, j1 - 1, z1 - 1] = c1
+    stack[:, j2 - 1, z2 - 1] = c2
     rows = []
-    for c1 in axis:
-        for c2 in axis:
-            vals = np.array(grid.values)
-            vals[j1 - 1, z1 - 1] = c1
-            vals[j2 - 1, z2 - 1] = c2
-            g = grid.with_values(vals)
-            J = objective(system, propagate(g, basis).total)
-            gr = gradient(system, g, basis).values
-            rows.append(
-                [float(c1), float(c2), J,
-                 float(gr[j1 - 1, z1 - 1]), float(gr[j2 - 1, z2 - 1])]
-            )
+    if c1.size:
+        J = _objective_stack(system, stack, grid.dt, basis)
+        gr = _gradient_stack(system, stack, grid.dt, basis)
+        rows = np.column_stack(
+            [c1, c2, J, gr[:, j1 - 1, z1 - 1], gr[:, j2 - 1, z2 - 1]]
+        ).tolist()
     results = {
         "alpha": alpha,
         "kappa": kappa,

@@ -180,7 +180,7 @@ def corner_escape_analysis(
     j_corner = objective(system, propagate(grid, basis).total)
     j_global_max = objective_range(system).j_max
 
-    at_upper, at_lower = _at_bounds(grid, DEFAULT_ACTIVE_TOL)
+    at_upper, at_lower = _at_bounds(grid.values, grid.kappa, DEFAULT_ACTIVE_TOL)
 
     rng = np.random.default_rng(seed)
     pert = np.empty((samples,) + grid.values.shape)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .qdyn import (
     BasisSet,
@@ -51,6 +50,11 @@ TANGENT_ROW_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_ACTIVE_TOL = 1e-9
 CONE_RESIDUAL_TOL = 1e-8
+
+# scipy.optimize.linprog, bound on first use by boundary_cone_surjectivity:
+# importing scipy.optimize takes most of the package's import time, and only
+# the cone test needs it.
+linprog = None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -167,9 +171,12 @@ class TangentMap:
 def _objective_values(system: QuantumSystem, U: np.ndarray) -> np.ndarray:
     """J = Re Tr[O_hat U rho0 U^dag] for every U of a (..., N, N) stack.
 
-    A U that is not unitary within tolerance is a ValueError; a trace with an
-    imaginary part, or a J that is not finite, is a NumericalFault.
+    A U that is not unitary within tolerance is a ValueError; a U or a J
+    that is not finite, or a trace with an imaginary part, is a
+    NumericalFault.
     """
+    if not np.isfinite(U).all():
+        raise NumericalFault("propagator is not finite")
     defect = np.linalg.norm(_dagger(U) @ U - np.eye(system.dim), axis=(-2, -1))
     if (defect > OBJECTIVE_UNITARITY_TOL).any():
         raise ValueError("U is not unitary within tolerance")
@@ -248,11 +255,25 @@ def _gradient_values(
     C = system.rho0 @ _dagger(total) @ system.observable @ total
     W = P[..., :-1, :, :] @ C[..., None, :, :] @ _dagger(P[..., 1:, :, :])
     Vh = _dagger(V)
-    G = V @ (K * (Vh @ W @ V)) @ Vh
+    # Not K * (...): on a large temporary numpy reuses its buffer with the
+    # operands swapped, and a complex product can round differently in that
+    # order, so each grid's gradient would depend on the size of the stack.
+    G = V @ np.multiply(K, Vh @ W @ V) @ Vh
     pairs = _basis_pairing(G, basis).reshape(G.shape[:-2] + (basis.size,))
     g = 2.0 * np.swapaxes(pairs, -1, -2)
     _check_finite_gradient(g)
     return g
+
+
+def _gradient_stack(
+    system: QuantumSystem, values: np.ndarray, dt: float, basis: BasisSet
+) -> np.ndarray:
+    """dJ/d eps at every grid of a (K, size, Z) value stack, blocked like
+    _objective_stack."""
+    return np.concatenate([
+        _gradient_values(system, values[b], dt, basis)
+        for b in _blocks(len(values), values.shape[-1])
+    ])
 
 
 def gradient(system: QuantumSystem, grid: ControlGrid, basis: BasisSet) -> LandscapeGradient:
@@ -322,14 +343,14 @@ def local_surjectivity_rank(tm: TangentMap, tol: float = DEFAULT_RANK_TOL) -> tu
     return rank, rank == tm.rows.shape[1]
 
 
-def _at_bounds(grid: ControlGrid, active_tol: float) -> tuple:
-    """(at_upper, at_lower) masks shaped like grid.values.
+def _at_bounds(values: np.ndarray, kappa: float, active_tol: float) -> tuple:
+    """(at_upper, at_lower) masks shaped like a grid's values, or a stack of them.
 
     A control is at a bound when |eps| >= kappa - active_tol * kappa; the
     mask names the bound it touches.
     """
-    edge = grid.kappa - active_tol * grid.kappa
-    return grid.values >= edge, grid.values <= -edge
+    edge = kappa - active_tol * kappa
+    return values >= edge, values <= -edge
 
 
 def active_set(grid: ControlGrid, active_tol: float = DEFAULT_ACTIVE_TOL) -> list:
@@ -337,7 +358,7 @@ def active_set(grid: ControlGrid, active_tol: float = DEFAULT_ACTIVE_TOL) -> lis
 
     The side is '+' for eps >= 0 and '-' otherwise.
     """
-    at_upper, at_lower = _at_bounds(grid, active_tol)
+    at_upper, at_lower = _at_bounds(grid.values, grid.kappa, active_tol)
     return [
         (j, z0 + 1, "+" if grid.values[j, z0] >= 0.0 else "-")
         for j, z0 in np.argwhere(at_upper | at_lower).tolist()
@@ -349,7 +370,7 @@ def _variation_bounds(grid: ControlGrid, active_tol: float) -> list:
 
     None marks an unbounded side, in the layout linprog takes.
     """
-    at_upper, at_lower = _at_bounds(grid, active_tol)
+    at_upper, at_lower = _at_bounds(grid.values, grid.kappa, active_tol)
     return [
         (0.0 if lo else None, 0.0 if up else None)
         for lo, up in zip(at_lower.ravel().tolist(), at_upper.ravel().tolist())
@@ -377,6 +398,9 @@ def boundary_cone_surjectivity(
             f"tangent map has {tm.rows.shape[0]} rows, grid has "
             f"{grid.num_controls * grid.segments} controls"
         )
+    global linprog
+    if linprog is None:
+        from scipy.optimize import linprog
     A = tm.rows.T
     n = A.shape[0]
     bounds = _variation_bounds(grid, active_tol)

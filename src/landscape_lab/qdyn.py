@@ -280,7 +280,7 @@ def _segment_kernel(H: np.ndarray, dt: float) -> tuple:
         raise ValueError(f"time step must be nonnegative, got {dt}")
     Hh = _dagger(H)
     scale = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
-    if np.any(np.max(np.abs(H - Hh), axis=(-2, -1)) > HERMITICITY_TOL * scale):
+    if not (np.max(np.abs(H - Hh), axis=(-2, -1)) <= HERMITICITY_TOL * scale).all():
         raise ValueError("Hamiltonian stack is not Hermitian within tolerance")
     lam, V = np.linalg.eigh((H + Hh) / 2.0)
     U = (V * np.exp(-1j * dt * lam)[..., None, :]) @ _dagger(V)
@@ -328,23 +328,23 @@ def _check_propagation(segs: np.ndarray, total: np.ndarray = None) -> np.ndarray
     Every segment and every (..., n, n) total must be unitary in Frobenius
     norm, and every total must have determinant 1 and equal the ordered
     product of its segments; otherwise NumericalFault names the first
-    failure. Without a total, the ordered product is the total. Returns
-    the checked total.
+    failure. Each check is written to fail on NaN. Without a total, the
+    ordered product is the total. Returns the checked total.
     """
     product = _ordered_products(segs)[..., -1, :, :]
     if total is None:
         total = product
     both = np.concatenate((segs, total[..., None, :, :]), axis=-3)
     gram = _dagger(both) @ both - np.eye(total.shape[-1])
-    bad = np.linalg.norm(gram, axis=(-2, -1)) > UNITARITY_TOL
+    bad = ~(np.linalg.norm(gram, axis=(-2, -1)) <= UNITARITY_TOL)
     if bad.any():
         z = np.argwhere(bad)[0][-1]
         if z < segs.shape[-3]:
             raise NumericalFault(f"segment unitary {z} failed the unitarity check")
         raise NumericalFault("total propagator failed the unitarity check")
-    if (np.abs(np.linalg.det(total) - 1.0) > DETERMINANT_TOL).any():
+    if not (np.abs(np.linalg.det(total) - 1.0) <= DETERMINANT_TOL).all():
         raise NumericalFault("total propagator is not special unitary")
-    if np.abs(product - total).max() > UNITARITY_TOL:
+    if not np.abs(product - total).max() <= UNITARITY_TOL:
         raise NumericalFault("total does not equal the ordered segment product")
     return total
 

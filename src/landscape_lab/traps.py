@@ -17,6 +17,7 @@ from .landscape import (
     DEFAULT_ACTIVE_TOL,
     QuantumSystem,
     _at_bounds,
+    _gradient_stack,
     _gradient_values,
     _objective_stack,
     active_set,
@@ -202,11 +203,21 @@ def project_ascent_gradient(
     At +kappa a positive component is outward, at -kappa a negative one; a
     zero projection is the halting condition of constrained ascent.
     """
-    pg = np.array(grad_values, dtype=float)
-    at_upper, at_lower = _at_bounds(grid, active_tol)
+    return _project(grid.values, grid.kappa, grad_values, active_tol)
+
+
+def _project(values: np.ndarray, kappa: float, g: np.ndarray, active_tol: float) -> np.ndarray:
+    """project_ascent_gradient for a grid's values, or a stack of them, and g alike."""
+    pg = np.array(g, dtype=float)
+    at_upper, at_lower = _at_bounds(values, kappa, active_tol)
     pg[at_upper & (pg > 0.0)] = 0.0
     pg[at_lower & (pg < 0.0)] = 0.0
     return pg
+
+
+def _norms(pg: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each gradient in a stack, computed as for one grid."""
+    return np.array([np.linalg.norm(p) for p in pg])
 
 
 def finite_difference_hessian(
@@ -223,22 +234,49 @@ def finite_difference_hessian(
     BLOCK_SEGMENTS segment matrices. Returned matrix is the raw
     (unsymmetrized) FD estimate.
     """
+    free = np.asarray(free_indices, dtype=int)
+    return next(_free_hessians(system, grid.values[None], [free], step, grid.dt, basis))
+
+
+def _free_hessians(
+    system: QuantumSystem, values: np.ndarray, frees: list, step: float, dt: float,
+    basis: BasisSet,
+):
+    """finite_difference_hessian of every grid of an (R, size, Z) value stack.
+
+    frees[r] lists grid r's free flat coordinates. The columns of all grids
+    form one stream, cut into blocks of at most about BLOCK_SEGMENTS segment
+    matrices; a block's + probes, then its - probes, are one batched
+    gradient. The Hessians are yielded in grid order, each as soon as its
+    last column is in, so only the grids that share a block hold one.
+    """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    free = np.asarray(free_indices, dtype=int)
-    m = free.size
-    H = np.empty((m, m))
-    for block in _blocks(m, 2 * grid.segments):
-        cols = free[block]
-        b = cols.size
-        probes = np.tile(grid.values.ravel(), (2 * b, 1))
-        probes[np.arange(b), cols] += step
-        probes[np.arange(b, 2 * b), cols] -= step
-        g = _gradient_values(
-            system, probes.reshape((2 * b,) + grid.values.shape), grid.dt, basis
-        ).reshape(2 * b, -1)[:, free]
-        H[:, block] = ((g[:b] - g[b:]) / (2.0 * step)).T
-    return H
+    sizes = [f.size for f in frees]
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    owner = np.repeat(np.arange(len(frees)), sizes)
+    local = np.arange(total) - np.repeat(ends - sizes, sizes)
+    column = np.concatenate(frees)
+    flat = values.reshape(len(values), -1)
+    held, r_next = {}, 0
+    for b in _blocks(total, 2 * values.shape[-1]) + [slice(total, total)]:
+        n = owner[b].size
+        if n:
+            probes = np.concatenate([flat[owner[b]]] * 2)
+            probes[np.arange(n), column[b]] += step
+            probes[np.arange(n, 2 * n), column[b]] -= step
+            g = _gradient_values(
+                system, probes.reshape((2 * n,) + values.shape[1:]), dt, basis
+            ).reshape(2 * n, -1)
+            diff = (g[:n] - g[n:]) / (2.0 * step)
+            for r in np.unique(owner[b]):
+                mine = owner[b] == r
+                H = held.setdefault(r, np.empty((sizes[r], sizes[r])))
+                H[:, local[b][mine]] = diff[mine][:, frees[r]].T
+        while r_next < len(frees) and ends[r_next] <= b.start + n:
+            yield held.pop(r_next, np.empty((0, 0)))
+            r_next += 1
 
 
 def _eigenvalue_signs(eigs: np.ndarray) -> tuple:
@@ -269,22 +307,40 @@ def classify_point(
     boundary-trap-min requires them all inert (<= tol_grad). Mixed boundary
     cases are labelled boundary-saddle.
     """
+    j_value = objective(system, propagate(grid, basis).total)
     g = gradient(system, grid, basis).values
+    return _classify(system, [grid], [j_value], [g], basis, tol)[0]
+
+
+def _classify(
+    system: QuantumSystem, grids: list, js, gs, basis: BasisSet, tol: Tolerances
+) -> list:
+    """classify_point at each of equally shaped grids, given J and the gradient there.
+
+    The free Hessians of all grids come from one probe stream
+    (_free_hessians), and each is reduced to its eigenvalues once complete.
+    """
+    kappa = grids[0].kappa
+    values = np.stack([grid.values for grid in grids])
+    at_upper, at_lower = _at_bounds(values, kappa, tol.active)
+    frees = [np.flatnonzero(~m) for m in (at_upper | at_lower).reshape(len(grids), -1)]
+    hessians = _free_hessians(
+        system, values, frees, tol.resolved_hess_step(kappa), grids[0].dt, basis
+    )
+    return [
+        _report(grid, float(j_value), g, H, tol)
+        for grid, j_value, g, H in zip(grids, js, gs, hessians)
+    ]
+
+
+def _report(
+    grid: ControlGrid, j_value: float, g: np.ndarray, H: np.ndarray, tol: Tolerances
+) -> CriticalPointReport:
+    """classify_point's label from J, the gradient and the free Hessian."""
     act = tuple(active_set(grid, tol.active))
     pg = project_ascent_gradient(grid, g, tol.active)
     pnorm = float(np.linalg.norm(pg))
-    j_value = objective(system, propagate(grid, basis).total)
-
-    Z = grid.segments
-    act_flat = {j * Z + (z - 1) for (j, z, _) in act}
-    free = [r for r in range(g.size) if r not in act_flat]
-    if free:
-        H = finite_difference_hessian(
-            system, grid, basis, free, tol.resolved_hess_step(grid.kappa)
-        )
-        eigs = np.linalg.eigvalsh((H + H.T) / 2.0)
-    else:
-        eigs = np.empty(0)
+    eigs = np.linalg.eigvalsh((H + H.T) / 2.0) if H.size else np.empty(0)
     n_pos, n_neg, n_zero = _eigenvalue_signs(eigs)
     tol_grad = tol.grad
     if eigs.size:
@@ -347,49 +403,81 @@ def gradient_ascent(
     converges. It also converges when the projected gradient norm drops
     below params.gtol, and otherwise stops when max_iters is reached.
     """
-    grid = start
-    vals = np.array(start.values)
-    kappa = start.kappa
-    J = objective(system, propagate(grid, basis).total)
-    g = gradient(system, grid, basis).values
-    pg = project_ascent_gradient(grid, g, tol.active)
-    pnorm = float(np.linalg.norm(pg))
-    trace = [(0, J, pnorm)]
+    return _lockstep_ascent(system, [start], basis, params, tol)[0]
+
+
+def _lockstep_ascent(
+    system: QuantumSystem, starts: list, basis: BasisSet, params: AscentSettings,
+    tol: Tolerances,
+) -> list:
+    """gradient_ascent from each of equally shaped starts, all in one loop.
+
+    Each iteration evaluates the next LINE_SEARCH_CHUNK ladder steps of
+    every run still searching as one batched objective call, until every
+    run has accepted a step or stopped, and then takes the gradients of the
+    runs that moved as one batched call. A run that stops is masked out.
+    Runs never mix, and the kernels give a grid the same bits in any stack
+    (checked for N = 2 and 3), so each run's iterates are those it has alone.
+    """
+    kappa, dt = starts[0].kappa, starts[0].dt
+    vals = np.stack([start.values for start in starts])
+    J = _objective_stack(system, vals, dt, basis)
+    g = _gradient_stack(system, vals, dt, basis)
+    pg = _project(vals, kappa, g, tol.active)
+    pnorm = _norms(pg)
+    traces = [[(0, float(J[r]), float(pnorm[r]))] for r in range(len(starts))]
     converged = pnorm < params.gtol
+    running = ~converged
+    ladder = 0.5 ** np.arange(params.max_backtracks)
     it = 0
-    while not converged and it < params.max_iters:
-        s0 = kappa / pnorm if kappa > 0.0 else 1.0 / pnorm
-        ladder = s0 * 0.5 ** np.arange(params.max_backtracks)
-        accepted = False
+    while running.any() and it < params.max_iters:
+        runs = np.flatnonzero(running)
+        steps = (kappa if kappa > 0.0 else 1.0) / pnorm[runs, None] * ladder
+        moved = np.zeros(len(starts), dtype=bool)
         for lo in range(0, ladder.size, LINE_SEARCH_CHUNK):
-            steps = ladder[lo : lo + LINE_SEARCH_CHUNK]
-            cands = np.clip(vals + steps[:, None, None] * pg, -kappa, kappa)
-            predicted = (g * (cands - vals)).reshape(steps.size, -1).sum(axis=1)
-            cut = np.flatnonzero(predicted <= _objective_rounding(J))
-            live = cut[0] if cut.size else steps.size
-            if live:
-                Jc = _objective_stack(system, cands[:live], grid.dt, basis)
-                passed = np.flatnonzero(Jc >= J + params.armijo * predicted[:live])
-                if passed.size:
-                    accepted = True
-                    break
-            if cut.size:
-                converged = bool(predicted[live] > 0.0)
+            if not runs.size:
                 break
-        if not accepted:
+            v, gr = vals[runs, None], g[runs, None]
+            chunk = steps[:, lo : lo + LINE_SEARCH_CHUNK, None, None]
+            cands = np.clip(v + chunk * pg[runs, None], -kappa, kappa)
+            predicted = (gr * (cands - v)).reshape(cands.shape[:2] + (-1,)).sum(axis=2)
+            cut = predicted <= _objective_rounding(J[runs, None])
+            live = np.cumsum(cut, axis=1) == 0
+            passed = np.zeros_like(live)
+            Jc = np.zeros(live.shape)
+            if live.any():
+                Jc[live] = _objective_stack(system, cands[live], dt, basis)
+                threshold = J[runs, None] + params.armijo * predicted
+                passed[live] = Jc[live] >= threshold[live]
+            k = passed.argmax(axis=1)
+            ok = passed.any(axis=1)
+            won = runs[ok]
+            vals[won] = cands[ok, k[ok]]
+            J[won] = Jc[ok, k[ok]]
+            moved[won] = True
+            ended = ~ok & cut.any(axis=1)
+            first_cut = cut.argmax(axis=1)
+            converged[runs[ended]] = predicted[ended, first_cut[ended]] > 0.0
+            keep = ~ok & ~ended
+            runs, steps = runs[keep], steps[keep]
+        running &= moved
+        won = np.flatnonzero(moved)
+        if not won.size:
             break
-        k = passed[0]
-        vals = cands[k]
-        grid = grid.with_values(vals)
-        J = float(Jc[k])
-        g = gradient(system, grid, basis).values
-        pg = project_ascent_gradient(grid, g, tol.active)
-        pnorm = float(np.linalg.norm(pg))
         it += 1
-        trace.append((it, J, pnorm))
-        converged = pnorm < params.gtol
-    terminal = classify_point(system, grid, basis, tol)
-    return AscentTrace(tuple(trace), converged, terminal)
+        g[won] = _gradient_stack(system, vals[won], dt, basis)
+        pg[won] = _project(vals[won], kappa, g[won], tol.active)
+        pnorm[won] = _norms(pg[won])
+        converged[won] = pnorm[won] < params.gtol
+        running[won] = ~converged[won]
+        for r in won:
+            traces[r].append((it, float(J[r]), float(pnorm[r])))
+    grids = [start.with_values(v) for start, v in zip(starts, vals)]
+    reports = _classify(system, grids, J, g, basis, tol)
+    return [
+        AscentTrace(tuple(trace), bool(done), report)
+        for trace, done, report in zip(traces, converged, reports)
+    ]
 
 
 @dataclass(frozen=True)
@@ -451,30 +539,31 @@ def basin_census(
     margin = params.resolved_success_margin(rng_range.width)
     degenerate_range = rng_range.width <= DEGENERATE_RANGE_WIDTH
 
-    def one_run(i: int) -> BasinRun:
-        run_seed = sampler.seed + i
-        start = ControlGrid.uniform_random(
+    seeds = [sampler.seed + i for i in range(sampler.count)]
+    starts = [
+        ControlGrid.uniform_random(
             sampler.horizon,
             sampler.kappa,
             basis.size,
             sampler.segments,
             np.random.default_rng(run_seed),
         )
-        trace = gradient_ascent(system, start, basis, params, tol)
-        trapped = (not degenerate_range) and (
-            trace.j_terminal < rng_range.j_max - margin
-        )
-        return BasinRun(
+        for run_seed in seeds
+    ]
+    traces = _lockstep_ascent(system, starts, basis, params, tol)
+    runs = [
+        BasinRun(
             index=i,
             seed=run_seed,
             j_terminal=trace.j_terminal,
             classification=trace.terminal.classification,
             converged=trace.converged,
             iterations=trace.iterations,
-            trapped=trapped,
+            trapped=(not degenerate_range)
+            and (trace.j_terminal < rng_range.j_max - margin),
         )
-
-    runs = [one_run(i) for i in range(sampler.count)]
+        for i, (run_seed, trace) in enumerate(zip(seeds, traces))
+    ]
     trapped_fraction = sum(r.trapped for r in runs) / sampler.count
     return BasinCensusResult(
         trapped_fraction=float(trapped_fraction),

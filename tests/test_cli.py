@@ -1,13 +1,24 @@
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from landscape_lab import build_su_basis, kappa_threshold, landscape
-from landscape_lab.cli import main
+from landscape_lab import (
+    build_su_basis,
+    gradient,
+    kappa_threshold,
+    landscape,
+    objective,
+    propagate,
+)
+from landscape_lab.cli import _demo_system, _make_grid, main
 
 KAPPA_AUTO = np.pi / np.sqrt(3.0)
+BASIS2 = build_su_basis(2)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -73,6 +84,37 @@ class TestPayloadShape:
         assert payload["results"]["columns"] == ["c1", "c2", "J", "g1", "g2"]
         assert len(payload["results"]["rows"]) == 25
         assert all(len(row) == 5 for row in payload["results"]["rows"])
+
+
+class TestScan:
+    def test_rows_match_one_grid_at_a_time(self, tmp_path):
+        argv = ["scan", "--base", "random", "--seed", "3", "--steps", "4",
+                "--coord1", "1,2", "--coord2", "3,4"]
+        code, payload = run_json(tmp_path, "s.json", argv)
+        assert code == 0
+        system, _ = _demo_system(1.0, KAPPA_AUTO)
+        grid = _make_grid("random", 1.0, KAPPA_AUTO, 3, 4, 3, 0.0)
+        rows = payload["results"]["rows"]
+        assert len(rows) == 16
+        for c1, c2, J, g1, g2 in rows:
+            vals = np.array(grid.values)
+            vals[0, 1], vals[2, 3] = c1, c2
+            point = grid.with_values(vals)
+            assert J == objective(system, propagate(point, BASIS2).total)
+            g = gradient(system, point, BASIS2).values
+            assert (g1, g2) == (g[0, 1], g[2, 3])
+
+
+class TestImportCost:
+    def test_cli_import_leaves_the_lp_solver_unloaded(self):
+        src = os.path.dirname(os.path.dirname(landscape.__file__))
+        code = "import sys, landscape_lab.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -106,6 +106,11 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(system, np.diag([1.0, 0.5]))
 
+    def test_nan_unitary_is_a_fault(self):
+        system = QuantumSystem(2, STATE_UP, SIGMA_Z)
+        with pytest.raises(NumericalFault, match="propagator is not finite"):
+            objective(system, np.full((2, 2), np.nan))
+
 
 class TestObjectiveRange:
     def test_pure_state_pauli(self):

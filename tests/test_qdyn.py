@@ -13,7 +13,7 @@ from landscape_lab import (
     build_su_basis,
     propagate,
 )
-from landscape_lab.qdyn import _divided_differences, _segment_kernel
+from landscape_lab.qdyn import _check_propagation, _divided_differences, _segment_kernel
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -355,3 +355,26 @@ class TestPropagate:
     def test_result_rejects_non_unitary_segment(self):
         with pytest.raises(NumericalFault):
             PropagationResult((np.diag([1.0, 0.5]),), np.diag([1.0, 0.5]))
+
+
+class TestNonFiniteFails:
+    """NaN must fail every invariant check, not slip past a `>` comparison."""
+
+    NAN_STACK = np.full((2, 2, 2), np.nan, dtype=complex)
+
+    def test_nan_segments_are_a_fault(self):
+        with pytest.raises(NumericalFault, match="segment unitary 0"):
+            _check_propagation(self.NAN_STACK)
+
+    def test_nan_segments_with_a_nan_total_are_a_fault(self):
+        with pytest.raises(NumericalFault, match="segment unitary 0"):
+            _check_propagation(self.NAN_STACK, self.NAN_STACK[0])
+
+    def test_nan_total_is_a_fault(self):
+        segs = np.stack([np.eye(2, dtype=complex)] * 2)
+        with pytest.raises(NumericalFault, match="total propagator"):
+            _check_propagation(segs, np.full((2, 2), np.nan, dtype=complex))
+
+    def test_nan_hamiltonian_is_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _segment_kernel(self.NAN_STACK, 0.1)

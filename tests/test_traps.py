@@ -22,7 +22,7 @@ from landscape_lab import (
     project_ascent_gradient,
     propagate,
 )
-from landscape_lab import landscape, qdyn
+from landscape_lab import landscape, qdyn, traps
 from landscape_lab.traps import _objective_rounding
 
 BASIS2 = build_su_basis(2)
@@ -425,6 +425,25 @@ class TestChunkedLineSearch:
         assert_same_run(random_qutrit_system(), start, basis)
 
 
+def nan_trial_totals(monkeypatch):
+    """Make the last horizon propagator NaN in every batched propagation but
+    the first, which in an ascent or a census propagates the starts."""
+    real = landscape._horizon_propagators
+    calls = []
+
+    def totals(values, dt, basis):
+        U = real(values, dt, basis)
+        calls.append(len(U))
+        if len(calls) > 1:
+            U[-1] = np.nan
+        return U
+
+    monkeypatch.setattr(landscape, "_horizon_propagators", totals)
+
+
+CENSUS_OF_10 = BasinSampler(count=10, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+
+
 class TestLineSearchFaults:
     @pytest.mark.usefixtures("non_unitary_trial_segment")
     def test_non_unitary_trial_segment_is_a_fault(self):
@@ -433,17 +452,122 @@ class TestLineSearchFaults:
             gradient_ascent(corner_system(), start, BASIS2)
 
     def test_non_finite_trial_objective_is_a_fault(self, monkeypatch):
-        real = landscape._horizon_propagators
-
-        def totals(values, dt, basis):
-            U = real(values, dt, basis)
-            U[-1] = np.nan
-            return U
-
-        monkeypatch.setattr(landscape, "_horizon_propagators", totals)
+        nan_trial_totals(monkeypatch)
         start = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(3))
         with pytest.raises(NumericalFault, match="not finite"):
             gradient_ascent(corner_system(), start, BASIS2)
+
+    @pytest.mark.usefixtures("non_unitary_trial_segment")
+    def test_non_unitary_trial_segment_in_a_census_is_a_fault(self):
+        with pytest.raises(NumericalFault, match="segment unitary 3"):
+            basin_census(corner_system(), BASIS2, CENSUS_OF_10)
+
+    def test_non_finite_trial_objective_in_a_census_is_a_fault(self, monkeypatch):
+        nan_trial_totals(monkeypatch)
+        with pytest.raises(NumericalFault, match="not finite"):
+            basin_census(corner_system(), BASIS2, CENSUS_OF_10)
+
+
+def census_traces(monkeypatch, system, basis, sampler):
+    """basin_census's result and the ascent traces behind its runs."""
+    traces = []
+    real = traps._lockstep_ascent
+
+    def spy(*args):
+        traces.append(real(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(traps, "_lockstep_ascent", spy)
+    return basin_census(system, basis, sampler), traces[0]
+
+
+def assert_run_matches_alone(system, start, basis, trace, params=AscentSettings()):
+    """One run of a lockstep ascent against gradient_ascent on its start, the
+    sequential-halving reference, and classify_point at its end."""
+    alone = gradient_ascent(system, start, basis, params)
+    iterates, converged, final = sequential_ascent(system, start, basis, params)
+    assert trace.iterates == alone.iterates == iterates
+    assert trace.converged == alone.converged == converged
+    np.testing.assert_array_equal(trace.terminal.location.values, final.values)
+    recomputed = classify_point(system, final, basis)
+    for report in (alone.terminal, recomputed):
+        assert trace.terminal.classification == report.classification
+        assert trace.terminal.hessian_eigenvalues == report.hessian_eigenvalues
+        assert trace.terminal.j_value == report.j_value
+        assert trace.terminal.grad_norm_projected == report.grad_norm_projected
+        assert trace.terminal.tol_grad == report.tol_grad
+
+
+class TestLockstepCensus:
+    @pytest.mark.parametrize(
+        "N,kappa,count",
+        [(2, KAPPA, 40), (3, 0.2, 5), (3, 0.4, 5)],
+    )
+    def test_every_run_matches_its_ascent_alone(self, monkeypatch, N, kappa, count):
+        # The corner qubit's census starts 0-39, and the qutrit of
+        # TestChunkedLineSearch, whose runs take 15 to 85 iterations.
+        basis = build_su_basis(N)
+        system = corner_system() if N == 2 else random_qutrit_system()
+        Z = 4 if N == 2 else 5
+        sampler = BasinSampler(count=count, seed=0, kappa=kappa, segments=Z, horizon=1.0)
+        res, traces = census_traces(monkeypatch, system, basis, sampler)
+        assert len(traces) == count
+        iterations = [t.iterations for t in traces]
+        assert max(iterations) - min(iterations) >= 10
+        for run, trace in zip(res.runs, traces):
+            rng = np.random.default_rng(run.seed)
+            start = ControlGrid.uniform_random(1.0, kappa, basis.size, Z, rng)
+            assert_run_matches_alone(system, start, basis, trace)
+            assert run.j_terminal == trace.j_terminal
+            assert run.iterations == trace.iterations
+            assert run.converged == trace.converged
+            assert run.classification == trace.terminal.classification
+
+    def test_runs_that_stop_for_different_reasons(self):
+        # At the corner the projected gradient is zero at iteration 0; at
+        # the maximum the first step is within rounding (iteration 0), two
+        # steps before it the same happens at iteration 2; random starts
+        # hit max_iters = 3.
+        system = corner_system()
+        start6 = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(6))
+        full = gradient_ascent(system, start6, BASIS2)
+        short = AscentSettings(max_iters=full.iterations - 2)
+        near = gradient_ascent(system, start6, BASIS2, short).terminal.location
+        starts = [corner_grid(), full.terminal.location, near] + [
+            ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(seed))
+            for seed in range(3)
+        ]
+        params = AscentSettings(max_iters=3)
+        traces = traps._lockstep_ascent(system, starts, BASIS2, params, Tolerances())
+        stops = [(t.iterations, t.converged) for t in traces]
+        assert stops == [(0, True), (0, True), (2, True)] + [(3, False)] * 3
+        assert traces[0].terminal.grad_norm_projected == 0.0
+        assert traces[1].terminal.grad_norm_projected >= params.gtol
+        for start, trace in zip(starts, traces):
+            assert_run_matches_alone(system, start, BASIS2, trace, params)
+
+    def test_gradient_calls_are_batched_across_runs(self, monkeypatch):
+        # Start and step gradients go through landscape's _gradient_values,
+        # the Hessian probes through the name traps binds.
+        steps, probes = [], []
+        for module, calls in ((landscape, steps), (traps, probes)):
+            def spy(*args, real=module._gradient_values, calls=calls):
+                calls.append(len(args[1]))
+                return real(*args)
+
+            monkeypatch.setattr(module, "_gradient_values", spy)
+        res = basin_census(corner_system(), BASIS2, CENSUS_OF_10)
+        longest = max(run.iterations for run in res.runs)
+        assert len(steps) <= longest + 2
+        assert steps[0] == 10
+        assert len(probes) == 1  # every run's probes fit in one block
+
+    def test_classification_reuses_the_last_objective_and_gradient(self, monkeypatch):
+        # classify_point would evaluate J and the gradient again.
+        for name in ("classify_point", "propagate", "objective", "gradient"):
+            monkeypatch.setattr(traps, name, None)
+        res = basin_census(corner_system(), BASIS2, CENSUS_OF_10)
+        assert all(run.classification in CLASSIFICATIONS for run in res.runs)
 
 
 def column_loop_hessian(system, grid, basis, free, step):
@@ -481,6 +605,30 @@ class TestBlockedHessian:
         H = finite_difference_hessian(system, grid, basis, free, 1e-4)
         want = column_loop_hessian(system, grid, basis, free, 1e-4)
         assert np.max(np.abs(H - want)) <= 1e-12
+
+    def test_probe_stream_across_grids_matches_one_grid_at_a_time(self, monkeypatch):
+        # 5 columns a block, so blocks straddle grids; the corner has no free
+        # column and the third grid has 5 controls at a bound.
+        monkeypatch.setattr(qdyn, "BLOCK_SEGMENTS", 40)
+        system = corner_system()
+        grids = [
+            ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(seed))
+            for seed in range(4)
+        ]
+        clamped = np.array(grids[2].values)
+        clamped.flat[[0, 3, 4, 8, 11]] = [KAPPA, -KAPPA, KAPPA, KAPPA, -KAPPA]
+        grids[1], grids[2] = corner_grid(), grids[2].with_values(clamped)
+        values = np.stack([grid.values for grid in grids])
+        at_upper, at_lower = traps._at_bounds(values, KAPPA, Tolerances().active)
+        frees = [np.flatnonzero(~m) for m in (at_upper | at_lower).reshape(4, -1)]
+        assert [f.size for f in frees] == [12, 0, 7, 12]
+        hessians = traps._free_hessians(system, values, frees, 1e-4, 0.25, BASIS2)
+        for grid, free, H in zip(grids, frees, hessians):
+            np.testing.assert_array_equal(
+                H, finite_difference_hessian(system, grid, BASIS2, free, 1e-4)
+            )
+            want = column_loop_hessian(system, grid, BASIS2, free, 1e-4)
+            assert np.max(np.abs(H - want), initial=0.0) <= 1e-12
 
     def test_non_finite_probe_gradient_is_rejected(self, monkeypatch):
         real = landscape._segment_kernel
