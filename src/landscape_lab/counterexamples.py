@@ -24,7 +24,7 @@ from .landscape import (
     objective,
     objective_range,
 )
-from .traps import Tolerances, critical_value_census_1d
+from .traps import Tolerances, _bisect
 
 __all__ = [
     "BoundaryTrapInstance",
@@ -349,40 +349,56 @@ def slice_census_2d(
     if not (abs(c_min) <= lim and abs(c_max) <= lim):
         raise ValueError("slice range leaves the margin-restricted domain")
     cs = np.linspace(c_min, c_max, steps) if steps > 1 else np.array([c_min])
-    records = []
-    for c in cs:
-        rec = slice_critical_points(float(c), margin)
-        if verify:
-            _verify_slice(rec, margin, verify_grid_points)
-        records.append(rec)
+    records = [slice_critical_points(float(c), margin) for c in cs]
+    if verify:
+        _verify_slices(records, margin, verify_grid_points)
     return SliceCensus(c_values=tuple(float(c) for c in cs), per_slice=tuple(records))
 
 
-def _verify_slice(rec: SliceExtrema, margin: float, grid_points: int) -> None:
-    """Cross-check one slice's closed-form extrema by bracketing census."""
+def _verify_slices(records: list, margin: float, grid_points: int) -> None:
+    """Cross-check every slice's closed-form extrema by one bracketing census.
+
+    The slice derivatives on the grid form one (slices, grid_points) table;
+    the sign-change brackets of all slices are bisected together (_bisect),
+    each with its own c, as critical_value_census_1d would bisect them one
+    slice at a time. Each slice must then have exactly 2 critical points,
+    each within the root tolerance and within SLICE_AGREEMENT_TOL of the
+    closed form in location and value.
+    """
+    if grid_points < 2:
+        raise ValueError(f"need at least two grid points, got {grid_points}")
     lim = np.pi / 2.0 - margin
-    census = critical_value_census_1d(
-        lambda e1: _eval_raw(e1, rec.c),
-        lambda e1: _grad_raw(e1, rec.c)[0],
-        (-lim, lim),
-        grid_points,
-        Tolerances(),
-    )
-    if len(census.critical_points) != 2:
-        raise NumericalFault(
-            f"slice c={rec.c} census found {len(census.critical_points)} "
-            "critical points, expected 2"
-        )
-    pairs = (
-        (census.critical_points[0], census.critical_values[0], rec.max_location, rec.max_value),
-        (census.critical_points[1], census.critical_values[1], rec.min_location, rec.min_value),
-    )
-    for loc, val, loc_cf, val_cf in pairs:
-        if abs(loc - loc_cf) > SLICE_AGREEMENT_TOL or abs(val - val_cf) > SLICE_AGREEMENT_TOL:
+    cs = np.array([rec.c for rec in records])
+    xs = np.linspace(-lim, lim, grid_points)
+    ds = _grad_raw(xs[None, :], cs[:, None])[0]
+    if not np.all(np.isfinite(ds)):
+        raise ValueError("derivative is not finite on the grid")
+    owner, i = np.nonzero(ds[:, :-1] * ds[:, 1:] < 0.0)
+    roots = _bisect(lambda x: _grad_raw(x, cs[owner])[0], xs[i], xs[i + 1], ds[owner, i])
+    slopes = _grad_raw(roots, cs[owner])[0]
+    values = _eval_raw(roots, cs[owner])
+    tol = Tolerances()
+    for k, rec in enumerate(records):
+        mine = np.flatnonzero(owner == k)
+        off = mine[~(np.abs(slopes[mine]) < tol.root)]
+        if off.size:
             raise NumericalFault(
-                f"slice c={rec.c}: census extremum ({loc}, {val}) disagrees "
-                f"with closed form ({loc_cf}, {val_cf})"
+                f"slice c={rec.c}: bisection left |f'({roots[off[0]]})| above the "
+                "root tolerance"
             )
+        if mine.size != 2:
+            raise NumericalFault(
+                f"slice c={rec.c} census found {mine.size} critical points, expected 2"
+            )
+        closed = ((rec.max_location, rec.max_value), (rec.min_location, rec.min_value))
+        for r, (loc_cf, val_cf) in zip(mine, closed):
+            loc, val = roots[r], values[r]
+            if not (abs(loc - loc_cf) <= SLICE_AGREEMENT_TOL
+                    and abs(val - val_cf) <= SLICE_AGREEMENT_TOL):
+                raise NumericalFault(
+                    f"slice c={rec.c}: census extremum ({loc}, {val}) disagrees "
+                    f"with closed form ({loc_cf}, {val_cf})"
+                )
 
 
 def analytic2d_trap_free_scan(

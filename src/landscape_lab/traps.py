@@ -215,6 +215,11 @@ def _project(values: np.ndarray, kappa: float, g: np.ndarray, active_tol: float)
     return pg
 
 
+def _gradient_converged(pnorm: np.ndarray, gtol: float) -> np.ndarray:
+    """Runs whose projected gradient norm is below gtol, or exactly 0 whatever gtol is."""
+    return (pnorm < gtol) | (pnorm == 0.0)
+
+
 def _norms(pg: np.ndarray) -> np.ndarray:
     """Frobenius norm of each gradient in a stack, computed as for one grid."""
     return np.array([np.linalg.norm(p) for p in pg])
@@ -401,7 +406,8 @@ def gradient_ascent(
     within the rounding of J: no shorter step can raise J by more than
     rounding, so the point is critical to working precision and the run
     converges. It also converges when the projected gradient norm drops
-    below params.gtol, and otherwise stops when max_iters is reached.
+    below params.gtol or is exactly 0, and otherwise stops when max_iters is
+    reached.
     """
     return _lockstep_ascent(system, [start], basis, params, tol)[0]
 
@@ -426,7 +432,7 @@ def _lockstep_ascent(
     pg = _project(vals, kappa, g, tol.active)
     pnorm = _norms(pg)
     traces = [[(0, float(J[r]), float(pnorm[r]))] for r in range(len(starts))]
-    converged = pnorm < params.gtol
+    converged = _gradient_converged(pnorm, params.gtol)
     running = ~converged
     ladder = 0.5 ** np.arange(params.max_backtracks)
     it = 0
@@ -468,7 +474,7 @@ def _lockstep_ascent(
         g[won] = _gradient_stack(system, vals[won], dt, basis)
         pg[won] = _project(vals[won], kappa, g[won], tol.active)
         pnorm[won] = _norms(pg[won])
-        converged[won] = pnorm[won] < params.gtol
+        converged[won] = _gradient_converged(pnorm[won], params.gtol)
         running[won] = ~converged[won]
         for r in won:
             traces[r].append((it, float(J[r]), float(pnorm[r])))
@@ -573,6 +579,39 @@ def basin_census(
     )
 
 
+def _on(fn, x: np.ndarray) -> np.ndarray:
+    """fn called on an array, its result as floats of x's shape (a scalar is broadcast)."""
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+
+
+def _bisect(f_prime, lo: np.ndarray, hi: np.ndarray, dlo: np.ndarray) -> np.ndarray:
+    """Bisect every bracket [lo, hi] of a strict sign change of f' to a root.
+
+    dlo holds f' at lo. All brackets advance in lockstep: each round calls
+    f_prime once on the midpoints of all brackets, and a bracket freezes
+    when its width is at most 4 eps max(1, |lo|, |hi|), when f' is exactly
+    0 at its midpoint, or after 200 rounds; its root is the midpoint of the
+    frozen bracket. The arithmetic is elementwise, so each root has the bits
+    a bracket-by-bracket loop gives it.
+    """
+    lo, hi, dlo = (np.array(v, dtype=float) for v in (lo, hi, dlo))
+    eps = np.finfo(float).eps
+    open_ = np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
+        scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        open_ &= ~(hi - lo <= 4.0 * eps * scale)
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        dmid = _on(f_prime, mid)
+        open_ &= dmid != 0.0
+        left = open_ & ((dmid > 0.0) == (dlo > 0.0))
+        lo[left], dlo[left] = mid[left], dmid[left]
+        right = open_ & ~left
+        hi[right] = mid[right]
+    return 0.5 * (lo + hi)
+
+
 def critical_value_census_1d(
     f,
     f_prime,
@@ -582,10 +621,13 @@ def critical_value_census_1d(
 ) -> CensusResult1D:
     """Bracket f' sign changes on a uniform grid and bisect each to a root.
 
-    Only strict sign changes are bracketed, so tangential (non-crossing)
-    zeros of f' and constant stretches yield no critical points; a grid too
-    coarse to separate neighbouring roots merges them silently. Values
-    within tol.merge of each other collapse into one distinct value.
+    f and f_prime are called on arrays (a scalar result is broadcast): f'
+    once on the whole grid and once per bisection round on the midpoints of
+    all brackets (_bisect), then f' and f on the roots. Only strict sign
+    changes are bracketed, so tangential (non-crossing) zeros of f' and
+    constant stretches yield no critical points; a grid too coarse to
+    separate neighbouring roots merges them silently. Values within
+    tol.merge of each other collapse into one distinct value.
     """
     a, b = float(domain[0]), float(domain[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -593,34 +635,19 @@ def critical_value_census_1d(
     if grid_points < 2:
         raise ValueError(f"need at least two grid points, got {grid_points}")
     xs = np.linspace(a, b, grid_points)
-    ds = np.array([f_prime(x) for x in xs], dtype=float)
+    ds = _on(f_prime, xs)
     if not np.all(np.isfinite(ds)):
         raise ValueError("derivative is not finite on the grid")
 
-    roots = []
-    for i in np.flatnonzero(ds[:-1] * ds[1:] < 0.0):
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        dlo = ds[i]
-        for _ in range(200):
-            if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            dmid = float(f_prime(mid))
-            if dmid == 0.0:
-                lo = hi = mid
-                break
-            if (dmid > 0.0) == (dlo > 0.0):
-                lo, dlo = mid, dmid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        if abs(float(f_prime(root))) >= tol.root:
-            raise NumericalFault(
-                f"bisection left |f'({root})| above the root tolerance"
-            )
-        roots.append(root)
+    i = np.flatnonzero(ds[:-1] * ds[1:] < 0.0)
+    roots = _bisect(f_prime, xs[i], xs[i + 1], ds[i])
+    off = np.flatnonzero(~(np.abs(_on(f_prime, roots)) < tol.root))
+    if off.size:
+        raise NumericalFault(
+            f"bisection left |f'({roots[off[0]]})| above the root tolerance"
+        )
 
-    values = [float(f(r)) for r in roots]
+    values = [float(v) for v in _on(f, roots)]
     if not np.all(np.isfinite(values)):
         raise ValueError("function is not finite at a critical point")
     distinct = []
@@ -630,7 +657,7 @@ def critical_value_census_1d(
         else:
             distinct[-1].append(v)
     return CensusResult1D(
-        critical_points=tuple(roots),
+        critical_points=tuple(float(r) for r in roots),
         critical_values=tuple(values),
         distinct_values=tuple(group[0] for group in distinct),
     )

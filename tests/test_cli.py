@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -199,6 +200,23 @@ class TestExitCodes:
     @pytest.mark.usefixtures("non_unitary_trial_segment")
     def test_non_unitary_line_search_segment_is_numerical(self):
         assert main(["ascent", "--start", "random", "--seed", "3"]) == 3
+
+
+class TestZeroGtol:
+    def test_exactly_critical_corner_converges_without_warnings(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, zero = run_json(
+                tmp_path, "z.json", ["ascent", "--start", "corner", "--gtol", "0"]
+            )
+        assert [str(w.message) for w in caught] == []
+        assert code == 0
+        assert zero["results"]["converged"] is True
+        _, ref = run_json(
+            tmp_path, "r.json", ["ascent", "--start", "corner", "--gtol", "1e-8"]
+        )
+        assert zero["results"] == ref["results"]
+        assert zero["results_hex"] == ref["results_hex"]
 
 
 class TestExpectations:

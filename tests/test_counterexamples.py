@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
+from landscape_lab import counterexamples
 from landscape_lab import (
     Analytic2DPoint,
     ControlGrid,
@@ -274,6 +275,45 @@ class TestSliceCriticalPoints:
             slice_critical_points(np.pi / 2.0)
 
 
+def scalar_slice_roots(c, margin, grid_points):
+    """One slice's census as a bracket-by-bracket scalar loop: the reference
+    for the lockstep bisection of all slices."""
+    lim = np.pi / 2.0 - margin
+    xs = np.linspace(-lim, lim, grid_points)
+    ds = np.array([counterexamples._grad_raw(x, c)[0] for x in xs])
+    roots = []
+    for i in np.flatnonzero(ds[:-1] * ds[1:] < 0.0):
+        lo, hi, dlo = float(xs[i]), float(xs[i + 1]), ds[i]
+        for _ in range(200):
+            if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
+                break
+            mid = 0.5 * (lo + hi)
+            dmid = float(counterexamples._grad_raw(mid, c)[0])
+            if dmid == 0.0:
+                lo = hi = mid
+                break
+            if (dmid > 0.0) == (dlo > 0.0):
+                lo, dlo = mid, dmid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return np.array(roots)
+
+
+def patch_last_slice(monkeypatch, name, change):
+    """Replace counterexamples.<name> so that on the slice c = 0.8 alone its
+    first output f becomes change(f, e1)."""
+    real = getattr(counterexamples, name)
+
+    def patched(e1, e2):
+        out = real(e1, e2)
+        first = out[0] if isinstance(out, tuple) else out
+        first = np.where(np.asarray(e2) == 0.8, change(first, e1), first)
+        return (first,) + out[1:] if isinstance(out, tuple) else first
+
+    monkeypatch.setattr(counterexamples, name, patched)
+
+
 class TestSliceCensus2D:
     def test_sweep_covers_range_and_is_continuous(self):
         census = slice_census_2d(-1.4, 1.4, 101)
@@ -295,6 +335,44 @@ class TestSliceCensus2D:
     def test_verified_sweep_agrees_with_independent_census(self):
         census = slice_census_2d(-0.8, 0.8, 9, verify=True)
         assert len(census.per_slice) == 9
+
+    def test_lockstep_roots_match_slice_by_slice_bisection(self, monkeypatch):
+        # Criterion 4's 101 slices: the one lockstep bisection must give every
+        # root the bits of the scalar census that bisected one slice at a time.
+        real, calls = counterexamples._bisect, []
+
+        def spy(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(counterexamples, "_bisect", spy)
+        census = slice_census_2d(-1.4, 1.4, 101, margin=0.15, verify=True)
+        assert len(calls) == 1
+        reference = np.concatenate([
+            scalar_slice_roots(c, 0.15, 1001) for c in census.c_values
+        ])
+        assert reference.size == 202
+        assert calls[0].tobytes() == reference.tobytes()
+
+    def test_third_sign_change_on_one_slice_is_a_fault(self, monkeypatch):
+        patch_last_slice(monkeypatch, "_grad_raw", lambda d1, e1: d1 * (e1 - 1.25))
+        with pytest.raises(NumericalFault, match=r"slice c=0\.8 census found 3"):
+            slice_census_2d(-0.8, 0.8, 9, verify=True)
+
+    def test_jump_left_above_the_root_tolerance_is_a_fault(self, monkeypatch):
+        patch_last_slice(monkeypatch, "_grad_raw", lambda d1, e1: np.sign(d1))
+        with pytest.raises(NumericalFault, match=r"slice c=0\.8: bisection left"):
+            slice_census_2d(-0.8, 0.8, 9, verify=True)
+
+    def test_disagreement_with_the_closed_form_is_a_fault(self, monkeypatch):
+        patch_last_slice(monkeypatch, "_eval_raw", lambda f, e1: f + 1e-6)
+        with pytest.raises(NumericalFault, match=r"slice c=0\.8: census extremum"):
+            slice_census_2d(-0.8, 0.8, 9, verify=True)
+
+    def test_non_finite_derivative_grid_is_rejected(self, monkeypatch):
+        patch_last_slice(monkeypatch, "_grad_raw", lambda d1, e1: d1 + np.nan)
+        with pytest.raises(ValueError, match="not finite on the grid"):
+            slice_census_2d(-0.8, 0.8, 9, verify=True)
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

@@ -215,6 +215,18 @@ class TestGradientAscent:
         assert trace.j_terminal == pytest.approx(1.0, abs=1e-8)
         assert trace.terminal.classification == "interior-max"
 
+    def test_exactly_critical_start_converges_at_gtol_zero(self):
+        # At the corner the projected gradient is exactly 0, which is not
+        # below a gtol of 0; the run must still stop there as converged.
+        trace = gradient_ascent(
+            corner_system(), corner_grid(), BASIS2, AscentSettings(gtol=0.0)
+        )
+        default = gradient_ascent(corner_system(), corner_grid(), BASIS2)
+        assert trace.converged
+        assert trace.iterates == default.iterates == ((0, default.j_terminal, 0.0),)
+        assert trace.terminal.classification == "boundary-trap-max"
+        assert np.array_equal(trace.terminal.location.values, corner_grid().values)
+
     def test_start_at_corner_stays_trapped(self):
         trace = gradient_ascent(corner_system(), corner_grid(), BASIS2)
         assert trace.converged
@@ -344,6 +356,23 @@ class TestCensus1D:
         )
         assert len(res.critical_points) > 2
         assert len(res.distinct_values) == 1
+
+    def test_root_at_an_exact_midpoint_zero(self):
+        res = critical_value_census_1d(lambda x: 0.5 * x**2, lambda x: x, (-1.0, 1.0), 2)
+        assert res.critical_points == (0.0,)
+        assert res.critical_values == (0.0,)
+
+    def test_jump_is_not_a_root(self):
+        # sign(x) changes sign at 0 but never gets near 0: the bisected
+        # "root" leaves |f'| = 1, far above the root tolerance.
+        with pytest.raises(NumericalFault, match="root tolerance"):
+            critical_value_census_1d(np.abs, np.sign, (-1.0, 2.0), 2)
+
+    def test_non_finite_derivative_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="not finite on the grid"):
+            critical_value_census_1d(
+                np.sin, lambda x: np.where(x > 0.5, np.nan, np.cos(x)), (0.0, 1.0), 11
+            )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
