@@ -11,7 +11,6 @@ from .qdyn import (
     ControlGrid,
     NumericalFault,
     PropagationResult,
-    assemble_segment_hamiltonian,
     build_su_basis,
     propagate,
 )
@@ -28,7 +27,6 @@ from .landscape import (
     objective,
     objective_range,
     psi_tangent_map,
-    unitary_objective_gradient,
 )
 from .traps import (
     CLASSIFICATIONS,
@@ -43,7 +41,6 @@ from .traps import (
     basin_census,
     classify_point,
     critical_value_census_1d,
-    finite_difference_hessian,
     gradient_ascent,
     project_ascent_gradient,
 )

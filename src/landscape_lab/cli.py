@@ -54,7 +54,7 @@ from .counterexamples import (
     verify_boundary_trap,
 )
 
-__all__ = ["RunConfig", "RunReport", "main", "run"]
+__all__ = ["RunReport", "main", "run"]
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -71,16 +71,6 @@ CENSUS_FUNCTIONS = {
 }
 
 GRID_KINDS = ("zeros", "corner", "constant", "random")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, echoed parameters, output destination."""
-
-    command: str
-    params: dict
-    output: str | None
-    format: str
 
 
 @dataclass(frozen=True)
@@ -132,9 +122,7 @@ def _demo_system(T: float, kappa: float) -> tuple:
 
 
 def _ascent_settings(args) -> AscentSettings:
-    return AscentSettings(
-        max_iters=args.max_iters, gtol=args.gtol, armijo=args.armijo
-    )
+    return AscentSettings(max_iters=args.max_iters, armijo=args.armijo)
 
 
 def _ascent_tolerances(args) -> Tolerances:
@@ -396,9 +384,9 @@ def _add_grid_source(p: argparse.ArgumentParser, kinds=GRID_KINDS,
 
 def _add_ascent_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=AscentSettings.max_iters)
-    p.add_argument("--gtol", type=float, default=AscentSettings.gtol)
     p.add_argument("--armijo", type=float, default=AscentSettings.armijo)
-    p.add_argument("--tol-grad", type=float, default=Tolerances.grad)
+    p.add_argument("--tol-grad", type=float, default=Tolerances.grad,
+                   help="stops the ascent and bounds a critical point's gradient")
     _add_active_tol(p)
 
 

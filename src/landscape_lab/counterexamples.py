@@ -56,6 +56,9 @@ FIRST_ORDER_TOL = 1e-8
 FIELD_MATCH_TOL = 1e-14
 SLICE_AGREEMENT_TOL = 1e-8
 
+# Grid of the bracketing census that verifies each slice, over |e1| <= pi/2 - margin.
+SLICE_VERIFY_GRID_POINTS = 1001
+
 # Default exclusion zone around e = +-pi/2 where tan and sec blow up.
 DEFAULT_MARGIN = 0.15
 
@@ -333,7 +336,6 @@ def slice_census_2d(
     steps: int,
     margin: float = DEFAULT_MARGIN,
     verify: bool = False,
-    verify_grid_points: int = 1001,
 ) -> SliceCensus:
     """Interior extrema for every slice c on a uniform range.
 
@@ -351,11 +353,11 @@ def slice_census_2d(
     cs = np.linspace(c_min, c_max, steps) if steps > 1 else np.array([c_min])
     records = [slice_critical_points(float(c), margin) for c in cs]
     if verify:
-        _verify_slices(records, margin, verify_grid_points)
+        _verify_slices(records, margin)
     return SliceCensus(c_values=tuple(float(c) for c in cs), per_slice=tuple(records))
 
 
-def _verify_slices(records: list, margin: float, grid_points: int) -> None:
+def _verify_slices(records: list, margin: float) -> None:
     """Cross-check every slice's closed-form extrema by one bracketing census.
 
     The slice derivatives on the grid form one (slices, grid_points) table;
@@ -365,11 +367,9 @@ def _verify_slices(records: list, margin: float, grid_points: int) -> None:
     each within the root tolerance and within SLICE_AGREEMENT_TOL of the
     closed form in location and value.
     """
-    if grid_points < 2:
-        raise ValueError(f"need at least two grid points, got {grid_points}")
     lim = np.pi / 2.0 - margin
     cs = np.array([rec.c for rec in records])
-    xs = np.linspace(-lim, lim, grid_points)
+    xs = np.linspace(-lim, lim, SLICE_VERIFY_GRID_POINTS)
     ds = _grad_raw(xs[None, :], cs[:, None])[0]
     if not np.all(np.isfinite(ds)):
         raise ValueError("derivative is not finite on the grid")

@@ -36,7 +36,6 @@ __all__ = [
     "objective_range",
     "gradient",
     "psi_tangent_map",
-    "unitary_objective_gradient",
     "local_surjectivity_rank",
     "active_set",
     "boundary_cone_surjectivity",
@@ -162,10 +161,6 @@ class TangentMap:
     @property
     def dim(self) -> int:
         return round(np.sqrt(self.rows.shape[1] + 1))
-
-    def reassemble(self, basis: BasisSet, r: int) -> np.ndarray:
-        """Row r as the su(N) matrix sum_k rows[r, k] B_k / sqrt(2)."""
-        return np.tensordot(self.rows[r] / np.sqrt(2.0), basis.stack, axes=1)
 
 
 def _objective_values(system: QuantumSystem, U: np.ndarray) -> np.ndarray:
@@ -317,20 +312,6 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
             j, z = np.argwhere(bad)[0]
             raise NumericalFault(f"tangent row ({j}, {z + 1}) is not {what}")
     return TangentMap(_basis_pairing(A.reshape(n * Z, dim, dim), basis) / np.sqrt(2.0))
-
-
-def unitary_objective_gradient(
-    system: QuantumSystem, U: np.ndarray, basis: BasisSet
-) -> np.ndarray:
-    """Gradient of phi(U) = Tr[O_hat U rho0 U^dag] in left su(N) coordinates.
-
-    Component k is Tr[(B_k/sqrt(2)) i[rho0, U^dag O_hat U]]; pairing these
-    with tangent-map rows reproduces dJ/d eps by the chain rule.
-    """
-    U = np.asarray(U, dtype=complex)
-    M = U.conj().T @ system.observable @ U
-    comm = 1j * (system.rho0 @ M - M @ system.rho0)
-    return np.einsum("kab,ba->k", basis.stack, comm).real / np.sqrt(2.0)
 
 
 def local_surjectivity_rank(tm: TangentMap, tol: float = DEFAULT_RANK_TOL) -> tuple:

@@ -18,7 +18,6 @@ __all__ = [
     "ControlGrid",
     "PropagationResult",
     "build_su_basis",
-    "assemble_segment_hamiltonian",
     "propagate",
 ]
 
@@ -145,12 +144,6 @@ class ControlGrid:
     def dt(self) -> float:
         return self.horizon / self.segments
 
-    def segment_bounds(self, z: int) -> tuple:
-        """Half-open time interval (t0, t1] covered by segment z (1-based)."""
-        if not 1 <= z <= self.segments:
-            raise ValueError(f"segment index {z} outside 1..{self.segments}")
-        return ((z - 1) * self.dt, z * self.dt)
-
     def with_values(self, values: np.ndarray, validate: bool = True) -> "ControlGrid":
         """Same horizon and bound, different amplitudes."""
         return ControlGrid(self.horizon, self.kappa, values, validate=validate)
@@ -233,20 +226,6 @@ def build_su_basis(N: int) -> BasisSet:
         diag[l] = -float(l)
         mats.append(np.sqrt(2.0 / (l * (l + 1))) * np.diag(diag))
     return BasisSet(int(N), tuple(mats))
-
-
-def assemble_segment_hamiltonian(
-    grid: ControlGrid, z: int, basis: BasisSet
-) -> np.ndarray:
-    """Hamiltonian of segment z (1-based): sum_j values[j, z-1] * B_j."""
-    if basis.size != grid.num_controls:
-        raise ValueError(
-            f"grid has {grid.num_controls} control rows but the basis "
-            f"provides {basis.size} generators"
-        )
-    if not 1 <= z <= grid.segments:
-        raise ValueError(f"segment index {z} outside 1..{grid.segments}")
-    return np.tensordot(grid.values[:, z - 1], basis.stack, axes=1)
 
 
 def _hamiltonian_stack(values: np.ndarray, basis: BasisSet) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 from .qdyn import BasisSet, ControlGrid, NumericalFault, _blocks, propagate
 from .landscape import (
     DEFAULT_ACTIVE_TOL,
+    ObjectiveRange,
     QuantumSystem,
     _at_bounds,
     _gradient_stack,
@@ -37,7 +38,6 @@ __all__ = [
     "BasinCensusResult",
     "CLASSIFICATIONS",
     "project_ascent_gradient",
-    "finite_difference_hessian",
     "classify_point",
     "gradient_ascent",
     "basin_census",
@@ -49,6 +49,7 @@ CLASSIFICATIONS = (
     "interior-min",
     "interior-saddle",
     "boundary-trap-max",
+    "boundary-max",
     "boundary-trap-min",
     "boundary-saddle",
     "regular",
@@ -66,6 +67,17 @@ OBJECTIVE_ROUNDING_ULPS = 16.0
 # Trial steps of the ascent's halving ladder evaluated by one batched call.
 LINE_SEARCH_CHUNK = 16
 
+# Length of the ascent's halving ladder: its shortest step is 2^-59 of the first.
+MAX_BACKTRACKS = 60
+
+# A census run succeeds when its J is within this fraction of j_max - j_min
+# of j_max; a boundary maximum further below j_max is a trap.
+SUCCESS_MARGIN = 1e-4
+
+# Central-difference step of the free Hessian, as a fraction of kappa (of 1
+# for a zero bound).
+HESS_STEP = 1e-4
+
 
 def _objective_rounding(j_value: float) -> float:
     """Largest change of J that rounding alone can account for."""
@@ -74,42 +86,24 @@ def _objective_rounding(j_value: float) -> float:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by classification and census routines.
+    """Numerical thresholds shared by ascent, classification and censuses.
 
-    hess_step = None resolves to 1e-4 x kappa of the grid at hand (1e-4 for
-    a zero bound); success margins for ascent are handled by AscentSettings.
+    grad both stops the ascent and bounds the projected gradient norm of a
+    critical point (see classify_point).
     """
 
     grad: float = 1e-8
-    hess_step: float | None = None
     root: float = 1e-10
     merge: float = 1e-6
     active: float = DEFAULT_ACTIVE_TOL
 
-    def resolved_hess_step(self, kappa: float) -> float:
-        if self.hess_step is not None:
-            return self.hess_step
-        return 1e-4 * (kappa if kappa > 0.0 else 1.0)
-
 
 @dataclass(frozen=True)
 class AscentSettings:
-    """Projected-ascent controls.
-
-    success_margin = None resolves to 1e-4 x (j_max - j_min) of the system
-    under study.
-    """
+    """Projected-ascent controls."""
 
     max_iters: int = 500
-    gtol: float = 1e-8
     armijo: float = 1e-4
-    max_backtracks: int = 60
-    success_margin: float | None = None
-
-    def resolved_success_margin(self, width: float) -> float:
-        if self.success_margin is not None:
-            return self.success_margin
-        return 1e-4 * width
 
 
 @dataclass(frozen=True)
@@ -215,9 +209,9 @@ def _project(values: np.ndarray, kappa: float, g: np.ndarray, active_tol: float)
     return pg
 
 
-def _gradient_converged(pnorm: np.ndarray, gtol: float) -> np.ndarray:
-    """Runs whose projected gradient norm is below gtol, or exactly 0 whatever gtol is."""
-    return (pnorm < gtol) | (pnorm == 0.0)
+def _gradient_converged(pnorm: np.ndarray, tol_grad: float) -> np.ndarray:
+    """Runs whose projected gradient norm is below tol_grad, or exactly 0 at any tol_grad."""
+    return (pnorm < tol_grad) | (pnorm == 0.0)
 
 
 def _norms(pg: np.ndarray) -> np.ndarray:
@@ -225,35 +219,19 @@ def _norms(pg: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(p) for p in pg])
 
 
-def finite_difference_hessian(
-    system: QuantumSystem,
-    grid: ControlGrid,
-    basis: BasisSet,
-    free_indices: list,
-    step: float,
-) -> np.ndarray:
-    """Central differences of the analytic gradient on the free coordinates.
-
-    Probes may step outside the admissible box. Each block of columns takes
-    its + and - probes as one batched gradient of at most about
-    BLOCK_SEGMENTS segment matrices. Returned matrix is the raw
-    (unsymmetrized) FD estimate.
-    """
-    free = np.asarray(free_indices, dtype=int)
-    return next(_free_hessians(system, grid.values[None], [free], step, grid.dt, basis))
-
-
 def _free_hessians(
     system: QuantumSystem, values: np.ndarray, frees: list, step: float, dt: float,
     basis: BasisSet,
 ):
-    """finite_difference_hessian of every grid of an (R, size, Z) value stack.
+    """Central differences of the analytic gradient on each grid's free coordinates.
 
-    frees[r] lists grid r's free flat coordinates. The columns of all grids
-    form one stream, cut into blocks of at most about BLOCK_SEGMENTS segment
-    matrices; a block's + probes, then its - probes, are one batched
-    gradient. The Hessians are yielded in grid order, each as soon as its
-    last column is in, so only the grids that share a block hold one.
+    values is an (R, size, Z) stack and frees[r] lists grid r's free flat
+    coordinates; probes may step outside the admissible box. The columns of
+    all grids form one stream, cut into blocks of at most about
+    BLOCK_SEGMENTS segment matrices; a block's + probes, then its - probes,
+    are one batched gradient. The raw (unsymmetrized) Hessians are yielded
+    in grid order, each as soon as its last column is in, so only the grids
+    that share a block hold one.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -307,10 +285,13 @@ def classify_point(
     curvature and r the rounding of J: a gradient that small can raise J by
     at most about |g|^2 / (2 L) before the curvature cancels it, a gain that
     rounding hides. Critical points are classified by Hessian eigenvalue
-    signs on the free coordinates; boundary-trap-max additionally requires
-    every active component to push outward (>= -tol_grad),
-    boundary-trap-min requires them all inert (<= tol_grad). Mixed boundary
-    cases are labelled boundary-saddle.
+    signs on the free coordinates. A boundary maximum needs every active
+    component to push outward (>= -tol_grad); it is boundary-trap-max when
+    J is below j_max by more than the census's success margin (SUCCESS_MARGIN
+    x (j_max - j_min)), boundary-max otherwise. boundary-trap-min requires
+    the active components all inert (<= tol_grad). Mixed boundary cases are
+    labelled boundary-saddle. The Hessian is central differences of the
+    analytic gradient with step HESS_STEP x kappa (HESS_STEP for kappa = 0).
     """
     j_value = objective(system, propagate(grid, basis).total)
     g = gradient(system, grid, basis).values
@@ -329,19 +310,28 @@ def _classify(
     values = np.stack([grid.values for grid in grids])
     at_upper, at_lower = _at_bounds(values, kappa, tol.active)
     frees = [np.flatnonzero(~m) for m in (at_upper | at_lower).reshape(len(grids), -1)]
-    hessians = _free_hessians(
-        system, values, frees, tol.resolved_hess_step(kappa), grids[0].dt, basis
-    )
+    step = HESS_STEP * (kappa if kappa > 0.0 else 1.0)
+    hessians = _free_hessians(system, values, frees, step, grids[0].dt, basis)
+    rng_range = objective_range(system)
     return [
-        _report(grid, float(j_value), g, H, tol)
-        for grid, j_value, g, H in zip(grids, js, gs, hessians)
+        _report(grid, float(j), g, H, tol, _trapped(float(j), rng_range))
+        for grid, j, g, H in zip(grids, js, gs, hessians)
     ]
 
 
+def _trapped(j_value: float, rng_range: ObjectiveRange) -> bool:
+    """J short of j_max by more than the success margin, SUCCESS_MARGIN x
+    (j_max - j_min). A degenerate range has no traps by convention."""
+    margin = SUCCESS_MARGIN * rng_range.width
+    return rng_range.width > DEGENERATE_RANGE_WIDTH and j_value < rng_range.j_max - margin
+
+
 def _report(
-    grid: ControlGrid, j_value: float, g: np.ndarray, H: np.ndarray, tol: Tolerances
+    grid: ControlGrid, j_value: float, g: np.ndarray, H: np.ndarray, tol: Tolerances,
+    trapped: bool,
 ) -> CriticalPointReport:
-    """classify_point's label from J, the gradient and the free Hessian."""
+    """classify_point's label from J, the gradient, the free Hessian and
+    whether J is short of the attainable maximum (_trapped)."""
     act = tuple(active_set(grid, tol.active))
     pg = project_ascent_gradient(grid, g, tol.active)
     pnorm = float(np.linalg.norm(pg))
@@ -369,7 +359,7 @@ def _report(
                 [g[j, z - 1] if side == "+" else -g[j, z - 1] for (j, z, side) in act]
             )
             if n_pos == 0 and np.all(outward >= -tol_grad):
-                cls = "boundary-trap-max"
+                cls = "boundary-trap-max" if trapped else "boundary-max"
             elif n_neg == 0 and np.all(outward <= tol_grad):
                 cls = "boundary-trap-min"
             else:
@@ -396,7 +386,7 @@ def gradient_ascent(
 ) -> AscentTrace:
     """Projected gradient ascent with backtracking (halving) line search.
 
-    The trial steps are s0 2^-k, k < params.max_backtracks, from
+    The trial steps are s0 2^-k, k < MAX_BACKTRACKS, from
     s0 = kappa / |projected gradient|, so the first candidate moves by about
     one box radius; acceptance requires the Armijo fraction of the
     first-order gain predicted for the realized (clipped) displacement, and
@@ -406,8 +396,8 @@ def gradient_ascent(
     within the rounding of J: no shorter step can raise J by more than
     rounding, so the point is critical to working precision and the run
     converges. It also converges when the projected gradient norm drops
-    below params.gtol or is exactly 0, and otherwise stops when max_iters is
-    reached.
+    below tol.grad, the tolerance classify_point judges criticality by, or
+    is exactly 0, and otherwise stops when max_iters is reached.
     """
     return _lockstep_ascent(system, [start], basis, params, tol)[0]
 
@@ -432,9 +422,9 @@ def _lockstep_ascent(
     pg = _project(vals, kappa, g, tol.active)
     pnorm = _norms(pg)
     traces = [[(0, float(J[r]), float(pnorm[r]))] for r in range(len(starts))]
-    converged = _gradient_converged(pnorm, params.gtol)
+    converged = _gradient_converged(pnorm, tol.grad)
     running = ~converged
-    ladder = 0.5 ** np.arange(params.max_backtracks)
+    ladder = 0.5 ** np.arange(MAX_BACKTRACKS)
     it = 0
     while running.any() and it < params.max_iters:
         runs = np.flatnonzero(running)
@@ -474,7 +464,7 @@ def _lockstep_ascent(
         g[won] = _gradient_stack(system, vals[won], dt, basis)
         pg[won] = _project(vals[won], kappa, g[won], tol.active)
         pnorm[won] = _norms(pg[won])
-        converged[won] = _gradient_converged(pnorm[won], params.gtol)
+        converged[won] = _gradient_converged(pnorm[won], tol.grad)
         running[won] = ~converged[won]
         for r in won:
             traces[r].append((it, float(J[r]), float(pnorm[r])))
@@ -537,13 +527,11 @@ def basin_census(
 
     Run i draws its start uniformly from the box with seed sampler.seed + i,
     so the census is reproducible and each run is independent. A run counts
-    as trapped when its terminal J is below j_max - success_margin. A
-    degenerate range (j_min = j_max) reports trapped_fraction 0 by
-    convention.
+    as trapped when its terminal J is below j_max - success_margin, with
+    success_margin = SUCCESS_MARGIN x (j_max - j_min). A degenerate range
+    (j_min = j_max) reports trapped_fraction 0 by convention.
     """
     rng_range = objective_range(system)
-    margin = params.resolved_success_margin(rng_range.width)
-    degenerate_range = rng_range.width <= DEGENERATE_RANGE_WIDTH
 
     seeds = [sampler.seed + i for i in range(sampler.count)]
     starts = [
@@ -565,15 +553,14 @@ def basin_census(
             classification=trace.terminal.classification,
             converged=trace.converged,
             iterations=trace.iterations,
-            trapped=(not degenerate_range)
-            and (trace.j_terminal < rng_range.j_max - margin),
+            trapped=_trapped(trace.j_terminal, rng_range),
         )
         for i, (run_seed, trace) in enumerate(zip(seeds, traces))
     ]
     trapped_fraction = sum(r.trapped for r in runs) / sampler.count
     return BasinCensusResult(
         trapped_fraction=float(trapped_fraction),
-        success_margin=float(margin),
+        success_margin=float(SUCCESS_MARGIN * rng_range.width),
         j_max=float(rng_range.j_max),
         runs=tuple(runs),
     )

@@ -179,6 +179,8 @@ class TestExitCodes:
             ["basis", "--seed", "1"],
             ["propagate", "--tol-grad", "1e-8"],
             ["census1d", "--fn", "sin", "--a", "0", "--b", "1", "--active-tol", "1e-9"],
+            ["ascent", "--gtol", "1e-4"],
+            ["basins", "--gtol", "1e-4"],
         ],
     )
     def test_flags_no_command_reads_are_rejected(self, argv):
@@ -207,16 +209,31 @@ class TestZeroGtol:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, zero = run_json(
-                tmp_path, "z.json", ["ascent", "--start", "corner", "--gtol", "0"]
+                tmp_path, "z.json", ["ascent", "--start", "corner", "--tol-grad", "0"]
             )
         assert [str(w.message) for w in caught] == []
         assert code == 0
         assert zero["results"]["converged"] is True
         _, ref = run_json(
-            tmp_path, "r.json", ["ascent", "--start", "corner", "--gtol", "1e-8"]
+            tmp_path, "r.json", ["ascent", "--start", "corner", "--tol-grad", "1e-8"]
         )
         assert zero["results"] == ref["results"]
         assert zero["results_hex"] == ref["results_hex"]
+
+
+class TestGradientTolerance:
+    def test_a_run_converged_at_the_tolerance_is_critical(self, tmp_path):
+        # --tol-grad both stops the ascent and judges criticality.
+        code, payload = run_json(
+            tmp_path, "a.json", ["ascent", "--seed", "3", "--tol-grad", "1e-4"]
+        )
+        assert code == 0
+        results = payload["results"]
+        assert results["converged"] is True
+        assert results["terminal"]["classification"] != "regular"
+        assert results["terminal"]["grad_norm_projected"] < 1e-4
+        assert "gtol" not in payload["config"]
+        assert payload["config"]["tol_grad"] == 1e-4
 
 
 class TestExpectations:
@@ -276,6 +293,11 @@ class TestConfigFile:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         assert main(["ce-scan2d", "--config", str(cfg)]) == 2
+
+    def test_removed_gtol_key_rejected(self, tmp_path):
+        cfg = tmp_path / "gtol.json"
+        cfg.write_text(json.dumps({"gtol": 1e-4}), encoding="utf-8")
+        assert main(["ascent", "--config", str(cfg)]) == 2
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "broken.json"

@@ -9,7 +9,6 @@ from landscape_lab import (
     QuantumSystem,
     TangentMap,
     active_set,
-    assemble_segment_hamiltonian,
     boundary_cone_surjectivity,
     build_su_basis,
     gradient,
@@ -19,7 +18,6 @@ from landscape_lab import (
     objective_range,
     propagate,
     psi_tangent_map,
-    unitary_objective_gradient,
 )
 from landscape_lab.qdyn import _divided_differences, _hamiltonian_stack, _segment_kernel
 
@@ -195,18 +193,24 @@ class TestTangentMap:
         grid = ControlGrid.uniform_random(1.0, 1.5, 3, 4, rng)
         tm = psi_tangent_map(grid, BASIS2)
         for r in range(tm.rows.shape[0]):
-            M = tm.reassemble(BASIS2, r)
+            # Row r as the su(N) matrix sum_k rows[r, k] B_k / sqrt(2).
+            M = np.tensordot(tm.rows[r] / np.sqrt(2.0), BASIS2.stack, axes=1)
             assert np.max(np.abs(M - M.conj().T)) < 1e-10
             assert abs(np.trace(M)) < 1e-10
 
     def test_chain_rule_reproduces_gradient(self):
+        # Tangent rows paired with the gradient of phi(U) = Tr[O U rho0 U^dag]
+        # in left su(N) coordinates, Tr[(B_k/sqrt(2)) i[rho0, U^dag O U]].
         rng = np.random.default_rng(21)
         for N in (2, 3):
             basis = build_su_basis(N)
             system = random_system(N, rng)
             grid = ControlGrid.uniform_random(0.9, 1.4, basis.size, 3, rng)
             tm = psi_tangent_map(grid, basis)
-            G = unitary_objective_gradient(system, propagate(grid, basis).total, basis)
+            U = propagate(grid, basis).total
+            M = U.conj().T @ system.observable @ U
+            comm = 1j * (system.rho0 @ M - M @ system.rho0)
+            G = np.einsum("kab,ba->k", basis.stack, comm).real / np.sqrt(2.0)
             chained = tm.rows @ G
             direct = gradient(system, grid, basis).values.ravel()
             assert np.max(np.abs(chained - direct)) < 1e-8
@@ -221,7 +225,7 @@ def loop_reference(system, grid, basis):
     dt, Z, n = grid.dt, grid.segments, basis.size
     units, dunits = [], []
     for z in range(1, Z + 1):
-        X = -1j * dt * assemble_segment_hamiltonian(grid, z, basis)
+        X = -1j * dt * np.tensordot(grid.values[:, z - 1], basis.stack, axes=1)
         units.append(expm(X))
         dunits.append([expm_frechet(X, -1j * dt * B, compute_expm=False) for B in basis.elements])
     prefix = [np.eye(basis.dim, dtype=complex)]

@@ -9,11 +9,15 @@ from landscape_lab import (
     ControlGrid,
     NumericalFault,
     PropagationResult,
-    assemble_segment_hamiltonian,
     build_su_basis,
     propagate,
 )
-from landscape_lab.qdyn import _check_propagation, _divided_differences, _segment_kernel
+from landscape_lab.qdyn import (
+    _check_propagation,
+    _divided_differences,
+    _hamiltonian_stack,
+    _segment_kernel,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -23,6 +27,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def random_hermitian(n, rng):
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (M + M.conj().T) / 2.0
+
+
+def segment_hamiltonian(grid, z, basis):
+    """Hamiltonian of segment z (1-based), sum_j values[j, z-1] B_j, one segment at a time."""
+    return np.tensordot(grid.values[:, z - 1], basis.stack, axes=1)
 
 
 def kernel_step(H, dt):
@@ -89,8 +98,6 @@ class TestControlGrid:
         assert grid.segments == 4
         assert grid.num_controls == 3
         assert grid.dt == pytest.approx(0.5)
-        assert grid.segment_bounds(1) == (0.0, 0.5)
-        assert grid.segment_bounds(4) == (pytest.approx(1.5), 2.0)
 
     def test_bound_violation_rejected(self):
         with pytest.raises(ValueError):
@@ -111,13 +118,6 @@ class TestControlGrid:
         with pytest.raises(ValueError):
             ControlGrid(1.0, 1.0, vals)
 
-    def test_segment_index_out_of_range(self):
-        grid = ControlGrid.zeros(1.0, 1.0, 3, 2)
-        with pytest.raises(ValueError):
-            grid.segment_bounds(0)
-        with pytest.raises(ValueError):
-            grid.segment_bounds(3)
-
     def test_values_are_read_only(self):
         grid = ControlGrid.zeros(1.0, 1.0, 3, 2)
         with pytest.raises(ValueError):
@@ -128,27 +128,27 @@ class TestAssembleSegmentHamiltonian:
     def test_all_at_bound_gives_pauli_sum(self):
         kappa = 0.7
         grid = ControlGrid.constant(1.0, kappa, 3, 4, kappa)
-        H = assemble_segment_hamiltonian(grid, 2, build_su_basis(2))
+        H = _hamiltonian_stack(grid.values, build_su_basis(2))[1]
         np.testing.assert_allclose(H, kappa * (SIGMA_X + SIGMA_Y + SIGMA_Z), atol=1e-15)
 
     def test_zero_grid_gives_zero(self):
         grid = ControlGrid.zeros(1.0, 1.0, 3, 2)
-        H = assemble_segment_hamiltonian(grid, 1, build_su_basis(2))
+        H = _hamiltonian_stack(grid.values, build_su_basis(2))
+        assert H.shape == (2, 2, 2)
         assert np.max(np.abs(H)) == 0.0
 
     def test_single_component(self):
         vals = np.zeros((3, 2))
         vals[2, 0] = 1.0
         grid = ControlGrid(1.0, 1.0, vals)
-        H = assemble_segment_hamiltonian(grid, 1, build_su_basis(2))
-        np.testing.assert_allclose(H, SIGMA_Z, atol=1e-15)
+        H = _hamiltonian_stack(grid.values, build_su_basis(2))
+        np.testing.assert_allclose(H[0], SIGMA_Z, atol=1e-15)
+        assert np.max(np.abs(H[1])) == 0.0
 
-    def test_index_and_shape_errors(self):
+    def test_basis_size_mismatch_is_rejected(self):
         grid = ControlGrid.zeros(1.0, 1.0, 3, 2)
-        with pytest.raises(ValueError):
-            assemble_segment_hamiltonian(grid, 5, build_su_basis(2))
-        with pytest.raises(ValueError):
-            assemble_segment_hamiltonian(grid, 1, build_su_basis(3))
+        with pytest.raises(ValueError, match="control rows"):
+            _hamiltonian_stack(grid.values, build_su_basis(3))
 
 
 class TestExpmStep:
@@ -292,7 +292,7 @@ class TestPropagate:
         vals = np.tile(rng.uniform(-1, 1, size=(3, 1)), (1, 6))
         grid = ControlGrid(1.2, 1.0, vals)
         basis = build_su_basis(2)
-        H = assemble_segment_hamiltonian(grid, 1, basis)
+        H = segment_hamiltonian(grid, 1, basis)
         np.testing.assert_allclose(propagate(grid, basis).total, expm(-1.2j * H), atol=1e-12)
 
     def test_group_composition(self):
@@ -325,7 +325,7 @@ class TestPropagate:
         j, z = 1, 3
         dt = grid.dt
         F = kernel_frechet(
-            assemble_segment_hamiltonian(grid, z, basis), dt, basis.elements[j]
+            segment_hamiltonian(grid, z, basis), dt, basis.elements[j]
         )
         segs = propagate(grid, basis).segment_unitaries
         before = np.eye(2, dtype=complex)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import landscape_lab
 from landscape_lab import (
     AscentSettings,
     AscentTrace,
@@ -15,15 +18,15 @@ from landscape_lab import (
     build_su_basis,
     classify_point,
     critical_value_census_1d,
-    finite_difference_hessian,
     gradient,
     gradient_ascent,
     objective,
+    objective_range,
     project_ascent_gradient,
     propagate,
 )
-from landscape_lab import landscape, qdyn, traps
-from landscape_lab.traps import _objective_rounding
+from landscape_lab import cli, landscape, qdyn, traps
+from landscape_lab.traps import MAX_BACKTRACKS, _objective_rounding
 
 BASIS2 = build_su_basis(2)
 SIGMA_Z = BASIS2.elements[2]
@@ -56,6 +59,12 @@ def random_instance(seed):
     return system, grid
 
 
+def finite_difference_hessian(system, grid, basis, free_indices, step):
+    """The raw central-difference Hessian on one grid's free coordinates."""
+    free = np.asarray(free_indices, dtype=int)
+    return next(traps._free_hessians(system, grid.values[None], [free], step, grid.dt, basis))
+
+
 class TestSettings:
     def test_tolerance_defaults(self):
         tol = Tolerances()
@@ -63,20 +72,53 @@ class TestSettings:
         assert tol.root == 1e-10
         assert tol.merge == 1e-6
         assert tol.active == 1e-9
-        assert tol.hess_step is None
 
-    def test_hess_step_resolution(self):
-        assert Tolerances().resolved_hess_step(2.0) == pytest.approx(2e-4)
-        assert Tolerances().resolved_hess_step(0.0) == pytest.approx(1e-4)
-        assert Tolerances(hess_step=0.01).resolved_hess_step(2.0) == 0.01
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(AscentSettings)] == ["max_iters", "armijo"]
+        assert [f.name for f in dataclasses.fields(Tolerances)] == [
+            "grad", "root", "merge", "active"
+        ]
+
+    def test_names_only_tests_used_are_gone(self):
+        gone = [
+            (landscape_lab, "assemble_segment_hamiltonian"),
+            (qdyn, "assemble_segment_hamiltonian"),
+            (ControlGrid, "segment_bounds"),
+            (landscape_lab, "unitary_objective_gradient"),
+            (landscape, "unitary_objective_gradient"),
+            (landscape.TangentMap, "reassemble"),
+            (landscape_lab, "finite_difference_hessian"),
+            (traps, "finite_difference_hessian"),
+            (cli, "RunConfig"),
+        ]
+        assert [name for owner, name in gone if hasattr(owner, name)] == []
+
+    def test_hess_step_resolution(self, monkeypatch):
+        # The Hessian step is 1e-4 kappa, and 1e-4 for a zero bound.
+        steps = []
+        real = traps._free_hessians
+
+        def spy(system, values, frees, step, dt, basis):
+            steps.append(step)
+            return real(system, values, frees, step, dt, basis)
+
+        monkeypatch.setattr(traps, "_free_hessians", spy)
+        system = random_instance(3)[0]
+        for kappa in (2.0, 0.0):
+            classify_point(system, ControlGrid.zeros(1.0, kappa, 3, 4), BASIS2)
+        assert steps == [2e-4, 1e-4]
 
     def test_success_margin_resolution(self):
-        assert AscentSettings().resolved_success_margin(2.0) == pytest.approx(2e-4)
-        assert AscentSettings(success_margin=0.5).resolved_success_margin(2.0) == 0.5
+        # A census's success margin is 1e-4 (j_max - j_min).
+        sampler = BasinSampler(count=1, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+        res = basin_census(corner_system(), BASIS2, sampler)
+        assert res.success_margin == 1e-4 * objective_range(corner_system()).width
+        assert res.success_margin == pytest.approx(2e-4 * np.sqrt(1.5), rel=1e-12)
 
     def test_classification_labels(self):
-        assert len(CLASSIFICATIONS) == 7
+        assert len(CLASSIFICATIONS) == 8
         assert "boundary-trap-max" in CLASSIFICATIONS
+        assert "boundary-max" in CLASSIFICATIONS
         assert "regular" in CLASSIFICATIONS
 
 
@@ -217,9 +259,10 @@ class TestGradientAscent:
 
     def test_exactly_critical_start_converges_at_gtol_zero(self):
         # At the corner the projected gradient is exactly 0, which is not
-        # below a gtol of 0; the run must still stop there as converged.
+        # below a gradient tolerance of 0; the run must still stop there as
+        # converged.
         trace = gradient_ascent(
-            corner_system(), corner_grid(), BASIS2, AscentSettings(gtol=0.0)
+            corner_system(), corner_grid(), BASIS2, tol=Tolerances(grad=0.0)
         )
         default = gradient_ascent(corner_system(), corner_grid(), BASIS2)
         assert trace.converged
@@ -264,7 +307,23 @@ class TestGradientAscent:
         assert at_max
         for run in at_max:
             assert run.converged, run
-            assert run.classification in ("interior-max", "boundary-trap-max"), run
+            assert run.classification in ("interior-max", "boundary-max"), run
+            assert not run.trapped, run
+
+    def test_census_run_25_ends_at_the_max_on_the_boundary_untrapped(self):
+        sampler = BasinSampler(count=1, seed=25, kappa=KAPPA, segments=4, horizon=1.0)
+        (run,) = basin_census(corner_system(), BASIS2, sampler).runs
+        assert run.j_terminal >= np.sqrt(1.5) - 1e-10
+        assert run.classification == "boundary-max"
+        assert not run.trapped
+
+    @pytest.mark.parametrize("grad", [1e-8, 1e-4])
+    def test_a_converged_run_is_critical(self, grad):
+        sampler = BasinSampler(count=40, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+        res = basin_census(corner_system(), BASIS2, sampler, tol=Tolerances(grad=grad))
+        converged = [run for run in res.runs if run.converged]
+        assert len(converged) == 40
+        assert all(run.classification != "regular" for run in converged)
 
     def test_monotone_trace(self):
         system, grid = random_instance(11)
@@ -392,12 +451,12 @@ def sequential_ascent(system, start, basis, params=AscentSettings(), tol=Toleran
     pg = project_ascent_gradient(grid, g, tol.active)
     pnorm = float(np.linalg.norm(pg))
     trace = [(0, J, pnorm)]
-    converged = pnorm < params.gtol
+    converged = pnorm < tol.grad
     it = 0
     while not converged and it < params.max_iters:
         s = kappa / pnorm if kappa > 0.0 else 1.0 / pnorm
         accepted = False
-        for _ in range(params.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = np.clip(vals + s * pg, -kappa, kappa)
             predicted = float(np.sum(g * (cand - vals)))
             if predicted <= 0.0:
@@ -418,7 +477,7 @@ def sequential_ascent(system, start, basis, params=AscentSettings(), tol=Toleran
         pnorm = float(np.linalg.norm(pg))
         it += 1
         trace.append((it, J, pnorm))
-        converged = pnorm < params.gtol
+        converged = pnorm < tol.grad
     return tuple(trace), converged, grid
 
 
@@ -571,7 +630,7 @@ class TestLockstepCensus:
         stops = [(t.iterations, t.converged) for t in traces]
         assert stops == [(0, True), (0, True), (2, True)] + [(3, False)] * 3
         assert traces[0].terminal.grad_norm_projected == 0.0
-        assert traces[1].terminal.grad_norm_projected >= params.gtol
+        assert traces[1].terminal.grad_norm_projected >= Tolerances().grad
         for start, trace in zip(starts, traces):
             assert_run_matches_alone(system, start, BASIS2, trace, params)
 
