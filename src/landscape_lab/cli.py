@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -328,6 +329,7 @@ def _cmd_ce_scan2d(args):
         "grid_steps": args.steps,
         "margin": args.margin,
         "min_grad_norm": scan.min_grad_norm,
+        "d2_floor_on_d1_zeros": scan.d2_floor_on_d1_zeros,
         "argmin_e1": scan.argmin_e1,
         "argmin_e2": scan.argmin_e2,
     }
@@ -397,7 +399,13 @@ def _coord(text: str) -> tuple:
     return (int(parts[0]), int(parts[1]))
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call.
+
+    parse_args returns a fresh Namespace each time and --config edits only
+    that Namespace, so one call leaves no state behind for the next.
+    """
     parser = argparse.ArgumentParser(
         prog="landscape-lab",
         description="Quantum-control landscape experiments, reproducibly.",
@@ -623,8 +631,7 @@ def run(args: argparse.Namespace) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, expect_ok = run(args)
     except (ValueError, OSError) as exc:

@@ -62,6 +62,14 @@ SLICE_VERIFY_GRID_POINTS = 1001
 # Default exclusion zone around e = +-pi/2 where tan and sec blow up.
 DEFAULT_MARGIN = 0.15
 
+# Lower bound of d2 where d1 vanishes, over the whole open square. There
+# tan e1 = +-sqrt(cos e2 / 3) and sec^2(e2/2) >= 1, so
+# d2 >= (2/pi)(1/2 - max_c sqrt(cos c) |sin c| / sqrt 3), and the maximum
+# sits at cos^2 c = 1/3.
+D2_FLOOR_ON_D1_ZEROS = float(
+    (2.0 / np.pi) * (0.5 - 3.0 ** -0.25 * np.sqrt(2.0 / 3.0) / np.sqrt(3.0))
+)
+
 
 def trap_observable(alpha: float) -> np.ndarray:
     """sin(a + pi/3) s1 + sin(a - pi/3) s2 + sin(a) s3."""
@@ -170,11 +178,15 @@ def corner_escape_analysis(
 ) -> TrapVerification:
     """Sampled test for a constrained local maximum at a (corner) grid.
 
-    Draws `samples` perturbations uniformly on the sphere of the given
-    radius, reflected into the inward orthant at active bounds, and records
-    the best objective gain; the probes are evaluated together, in batched
-    blocks. A trap must show no gain beyond 1e-10 and sit below the
-    attainable maximum by more than 1e-6.
+    Draws all `samples` probe directions in one call to the seeded
+    generator, one block of grid-shaped normals per probe. A block whose
+    norm is below 1e-12 is skipped and the shortfall is drawn again, so the
+    probes are the first `samples` usable blocks of the normal stream. Each
+    direction is reflected into the inward orthant at active bounds, scaled
+    to the given radius and clipped to the box; the probes are evaluated
+    together, in batched blocks, and the best objective gain is recorded. A
+    trap must show no gain beyond 1e-10 and sit below the attainable maximum
+    by more than 1e-6.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -186,16 +198,20 @@ def corner_escape_analysis(
     at_upper, at_lower = _at_bounds(grid.values, grid.kappa, DEFAULT_ACTIVE_TOL)
 
     rng = np.random.default_rng(seed)
-    pert = np.empty((samples,) + grid.values.shape)
-    for i in range(samples):
-        v = rng.standard_normal(size=grid.values.shape)
-        nrm = np.linalg.norm(v)
-        while nrm < 1e-12:
-            v = rng.standard_normal(size=grid.values.shape)
-            nrm = np.linalg.norm(v)
-        d = np.where(at_upper, -np.abs(v), np.where(at_lower, np.abs(v), v))
-        d *= radius / nrm
-        pert[i] = np.clip(grid.values + d, -grid.kappa, grid.kappa)
+    blocks, norms, missing = [], [], samples
+    while missing:
+        v = rng.standard_normal(size=(missing,) + grid.values.shape)
+        flat = v.reshape(missing, -1)
+        # per-row dot product: the rounding of np.linalg.norm on one block
+        nrm = np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(missing)
+        keep = nrm >= 1e-12
+        blocks.append(v[keep])
+        norms.append(nrm[keep])
+        missing -= int(np.count_nonzero(keep))
+    v, nrm = np.concatenate(blocks), np.concatenate(norms)
+    d = np.where(at_upper, -np.abs(v), np.where(at_lower, np.abs(v), v))
+    d *= (radius / nrm)[:, None, None]
+    pert = np.clip(grid.values + d, -grid.kappa, grid.kappa)
     max_gain = float(np.max(_objective_stack(system, pert, grid.dt, basis) - j_corner))
 
     grad_norm = gradient(system, grid, basis).norm
@@ -301,11 +317,13 @@ class SliceCensus:
 
 @dataclass(frozen=True)
 class TrapFreeScan:
-    """Minimum gradient norm over a grid scan of the open square."""
+    """Minimum gradient norm over a grid scan of the open square, with the
+    closed-form floor of d2 where d1 vanishes (D2_FLOOR_ON_D1_ZEROS)."""
 
     min_grad_norm: float
     argmin_e1: float
     argmin_e2: float
+    d2_floor_on_d1_zeros: float
 
 
 def slice_critical_points(c: float, margin: float = DEFAULT_MARGIN) -> SliceExtrema:
@@ -406,15 +424,17 @@ def analytic2d_trap_free_scan(
 ) -> TrapFreeScan:
     """Minimum of |(d1, d2)| over a uniform grid of the restricted square.
 
-    A strictly positive minimum certifies, at grid resolution, that the
-    unconstrained two-parameter landscape has no interior critical point.
+    A strictly positive minimum shows, at grid resolution, that the
+    unconstrained two-parameter landscape has no interior critical point;
+    the closed-form floor D2_FLOOR_ON_D1_ZEROS certifies it everywhere. The
+    partials are evaluated on the axes and broadcast, so each transcendental
+    is taken once per axis value rather than once per grid point.
     """
     if grid_steps < 10:
         raise ValueError(f"grid too coarse to certify anything: {grid_steps}")
     lim = np.pi / 2.0 - margin
     axis = np.linspace(-lim, lim, grid_steps)
-    E1, E2 = np.meshgrid(axis, axis, indexing="ij")
-    d1, d2 = _grad_raw(E1, E2)
+    d1, d2 = _grad_raw(axis[:, None], axis[None, :])
     norms = np.hypot(d1, d2)
     flat = int(np.argmin(norms))
     i, j = np.unravel_index(flat, norms.shape)
@@ -422,4 +442,5 @@ def analytic2d_trap_free_scan(
         min_grad_norm=float(norms[i, j]),
         argmin_e1=float(axis[i]),
         argmin_e2=float(axis[j]),
+        d2_floor_on_d1_zeros=D2_FLOOR_ON_D1_ZEROS,
     )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from landscape_lab import (
+    analytic2d_trap_free_scan,
     build_su_basis,
     gradient,
     kappa_threshold,
@@ -16,6 +17,7 @@ from landscape_lab import (
     objective,
     propagate,
 )
+from landscape_lab import cli
 from landscape_lab.cli import _demo_system, _make_grid, main
 
 KAPPA_AUTO = np.pi / np.sqrt(3.0)
@@ -306,6 +308,36 @@ class TestConfigFile:
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["ce-scan2d", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_share_no_state(self, tmp_path):
+        def payload(name, argv):
+            code, out = run_json(tmp_path, name, argv)
+            assert code == 0
+            del out["wall_time_s"]
+            return out
+
+        first = payload("r1.json", ["rank", "--N", "3"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 20}), encoding="utf-8")
+        assert payload("s1.json", ["ce-scan2d", "--config", str(cfg)])[
+            "results"]["grid_steps"] == 20
+        plain = payload("s2.json", ["ce-scan2d"])
+        assert plain["results"]["grid_steps"] == 400
+        assert plain["config"]["steps"] == 400
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert payload("r2.json", ["rank", "--N", "3"]) == first
+        assert cli._parser() is cli._parser()
+
+    def test_scan_reports_the_closed_form_floor(self, tmp_path):
+        code, out = run_json(tmp_path, "f.json", ["ce-scan2d", "--steps", "10"])
+        assert code == 0
+        floor = analytic2d_trap_free_scan(10).d2_floor_on_d1_zeros
+        assert out["results"]["d2_floor_on_d1_zeros"] == floor
+        assert float.fromhex(out["results_hex"]["d2_floor_on_d1_zeros"]) == floor
 
 
 class TestCsvFormat:

@@ -133,39 +133,65 @@ class TestTrapVerification:
         assert type(v.max_inward_gain) is float
         assert v.trap_order is None
 
-    @pytest.mark.parametrize("zero_first_draw", [False, True])
-    def test_batched_probes_match_a_per_probe_loop(self, monkeypatch, zero_first_draw):
+    @staticmethod
+    def zero_probe_block(monkeypatch, probe):
+        """Make every seeded generator's normal stream read 0 on the 12 values
+        of the given probe's block, however the stream is chunked."""
+        real_rng, start = np.random.default_rng, 12 * probe
+
+        class ZeroBlock:
+            def __init__(self, seed):
+                self.rng, self.drawn = real_rng(seed), 0
+
+            def standard_normal(self, size):
+                v = self.rng.standard_normal(size=size)
+                flat = v.reshape(-1)
+                lo = max(start - self.drawn, 0)
+                flat[lo:max(start + 12 - self.drawn, 0)] = 0.0
+                self.drawn += flat.size
+                return v
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroBlock)
+
+    def assert_matches_a_per_probe_loop(self, monkeypatch):
         inst = reference_instance()
         grid, seed, radius = inst.grid, 42, 1e-3 * KAPPA
-        if zero_first_draw:
-            # A first draw of norm 0 must be redrawn, as in the per-probe loop.
-            real_rng = np.random.default_rng
-
-            class ZeroFirst:
-                def __init__(self, seed):
-                    self.rng, self.first = real_rng(seed), True
-
-                def standard_normal(self, size):
-                    v = self.rng.standard_normal(size=size)
-                    if self.first:
-                        self.first = False
-                        return np.zeros(size)
-                    return v
-
-            monkeypatch.setattr(np.random, "default_rng", ZeroFirst)
         j_corner = objective(inst.system, propagate(grid, BASIS2).total)
         rng = np.random.default_rng(seed)
-        gains = []
+        gains, perts = [], []
         for _ in range(1000):
             v = rng.standard_normal(size=grid.values.shape)
             while np.linalg.norm(v) < 1e-12:
                 v = rng.standard_normal(size=grid.values.shape)
             d = -np.abs(v) * (radius / np.linalg.norm(v))  # every control sits at +kappa
             pert = grid.with_values(np.clip(grid.values + d, -KAPPA, KAPPA))
+            perts.append(pert.values)
             gains.append(objective(inst.system, propagate(pert, BASIS2).total) - j_corner)
+        stacks = []
+        real_stack = counterexamples._objective_stack
+
+        def spy(system, stack, dt, basis):
+            stacks.append(stack)
+            return real_stack(system, stack, dt, basis)
+
+        monkeypatch.setattr(counterexamples, "_objective_stack", spy)
         v = corner_escape_analysis(inst.system, grid, BASIS2, 1000, radius, seed)
+        assert np.array_equal(stacks[0], np.array(perts))
         assert v.max_inward_gain == max(gains)
         assert v.max_inward_gain <= 1e-10
+
+    @pytest.mark.parametrize("zero_first_draw", [False, True])
+    def test_batched_probes_match_a_per_probe_loop(self, monkeypatch, zero_first_draw):
+        if zero_first_draw:
+            # A first probe of norm 0 must be redrawn, as in the per-probe loop.
+            self.zero_probe_block(monkeypatch, 0)
+        self.assert_matches_a_per_probe_loop(monkeypatch)
+
+    def test_a_zero_probe_mid_stream_is_skipped_in_stream_order(self, monkeypatch):
+        # Probe 500 is dropped and block 1000 of the stream fills its place at
+        # the end, as in the loop that redraws it on the spot.
+        self.zero_probe_block(monkeypatch, 500)
+        self.assert_matches_a_per_probe_loop(monkeypatch)
 
     def test_escape_analysis_argument_errors(self):
         inst = reference_instance()
@@ -398,3 +424,32 @@ class TestTrapFreeScan:
     def test_rejects_too_coarse_grid(self):
         with pytest.raises(ValueError):
             analytic2d_trap_free_scan(9)
+
+    @pytest.mark.parametrize("steps", [400, 10])
+    def test_axis_broadcast_keeps_the_meshgrid_bits(self, steps):
+        lim = np.pi / 2.0 - counterexamples.DEFAULT_MARGIN
+        axis = np.linspace(-lim, lim, steps)
+        E1, E2 = np.meshgrid(axis, axis, indexing="ij")
+        norms = np.hypot(*counterexamples._grad_raw(E1, E2))
+        i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
+        scan = analytic2d_trap_free_scan(steps)
+        assert scan.min_grad_norm == float(norms[i, j])
+        assert scan.argmin_e1 == float(axis[i])
+        assert scan.argmin_e2 == float(axis[j])
+
+    def test_d2_floor_holds_on_both_branches_of_the_d1_zero_set(self):
+        floor = analytic2d_trap_free_scan(10).d2_floor_on_d1_zeros
+        assert floor == pytest.approx(0.0903, abs=5e-5)
+        c = np.linspace(-np.pi / 2.0, np.pi / 2.0, 200001)[1:-1]
+        root = np.sqrt(np.cos(c) / 3.0)
+        for t in (root, -root):
+            d1, d2 = counterexamples._grad_raw(np.arctan(t), c)
+            assert np.max(np.abs(d1 * np.cos(np.arctan(t)) ** 2)) < 1e-14
+            assert np.min(d2) >= floor
+            # the bound drops sec^2(c/2) >= 1; without that term it is tight,
+            # reached where cos^2 c = 1/3
+            relaxed = (2.0 / np.pi) * (0.5 + t * np.sin(c))
+            assert np.min(relaxed) >= floor - 1e-15
+            assert np.min(relaxed) == pytest.approx(floor, abs=1e-10)
+            k = np.argmin(relaxed)
+            assert np.cos(c[k]) ** 2 == pytest.approx(1.0 / 3.0, abs=1e-4)
