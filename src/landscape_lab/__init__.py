@@ -30,29 +30,23 @@ from .landscape import (
 )
 from .traps import (
     CLASSIFICATIONS,
-    AscentSettings,
     AscentTrace,
     BasinCensusResult,
     BasinRun,
     BasinSampler,
     CensusResult1D,
     CriticalPointReport,
-    Tolerances,
     basin_census,
     classify_point,
     critical_value_census_1d,
     gradient_ascent,
-    project_ascent_gradient,
 )
 from .counterexamples import (
-    Analytic2DPoint,
     BoundaryTrapInstance,
     SliceCensus,
     SliceExtrema,
     TrapFreeScan,
     TrapVerification,
-    analytic2d_eval,
-    analytic2d_gradient,
     analytic2d_trap_free_scan,
     boundary_trap_instance,
     corner_escape_analysis,

@@ -28,7 +28,6 @@ import scipy
 from . import __version__
 from .qdyn import ControlGrid, NumericalFault, build_su_basis, propagate
 from .landscape import (
-    DEFAULT_ACTIVE_TOL,
     QuantumSystem,
     _gradient_stack,
     _objective_stack,
@@ -38,9 +37,11 @@ from .landscape import (
     psi_tangent_map,
 )
 from .traps import (
-    AscentSettings,
+    GRAD_TOL,
+    MAX_ITERS,
+    MERGE_TOL,
+    ROOT_TOL,
     BasinSampler,
-    Tolerances,
     basin_census,
     critical_value_census_1d,
     gradient_ascent,
@@ -122,14 +123,6 @@ def _demo_system(T: float, kappa: float) -> tuple:
     return QuantumSystem(2, trap_initial_state(), trap_observable(alpha)), alpha
 
 
-def _ascent_settings(args) -> AscentSettings:
-    return AscentSettings(max_iters=args.max_iters, armijo=args.armijo)
-
-
-def _ascent_tolerances(args) -> Tolerances:
-    return Tolerances(grad=args.tol_grad, active=args.active_tol)
-
-
 def _report_terminal(report) -> dict:
     return {
         "j_value": report.j_value,
@@ -185,8 +178,8 @@ def _cmd_rank(args):
     grid = _make_grid(args.grid_kind, args.T, kappa, basis.size, args.Z,
                       args.seed, args.fill)
     tm = psi_tangent_map(grid, basis)
-    rank, surjective = local_surjectivity_rank(tm, args.rank_tol)
-    cone_ok, witness = boundary_cone_surjectivity(grid, tm, args.active_tol)
+    rank, surjective = local_surjectivity_rank(tm)
+    cone_ok, witness = boundary_cone_surjectivity(grid, tm)
     results = {
         "kappa": kappa,
         "rank": rank,
@@ -237,8 +230,8 @@ def _cmd_ascent(args):
     system, alpha = _demo_system(args.T, kappa)
     start = _make_grid(args.start, args.T, kappa, basis.size, args.Z,
                        args.seed, args.fill)
-    trace = gradient_ascent(system, start, basis, _ascent_settings(args),
-                            _ascent_tolerances(args))
+    trace = gradient_ascent(system, start, basis, max_iters=args.max_iters,
+                            tol_grad=args.tol_grad)
     results = {
         "alpha": alpha,
         "kappa": kappa,
@@ -255,8 +248,8 @@ def _cmd_basins(args):
     system, alpha = _demo_system(args.T, kappa)
     sampler = BasinSampler(count=args.count, seed=args.seed, kappa=kappa,
                            segments=args.Z, horizon=args.T)
-    census = basin_census(system, basis, sampler, _ascent_settings(args),
-                          _ascent_tolerances(args))
+    census = basin_census(system, basis, sampler, max_iters=args.max_iters,
+                          tol_grad=args.tol_grad)
     results = {
         "alpha": alpha,
         "kappa": kappa,
@@ -290,7 +283,7 @@ def _cmd_ce_boundary(args):
     ver = verify_boundary_trap(inst, args.samples, radius, args.seed)
     basis = build_su_basis(2)
     tm = psi_tangent_map(inst.grid, basis)
-    cone_ok, witness = boundary_cone_surjectivity(inst.grid, tm, args.active_tol)
+    cone_ok, witness = boundary_cone_surjectivity(inst.grid, tm)
     results = {
         "alpha": inst.alpha,
         "kappa": inst.kappa,
@@ -347,7 +340,7 @@ def _cmd_census1d(args):
     f, fp = CENSUS_FUNCTIONS[args.fn]
     census = critical_value_census_1d(
         f, fp, (args.a, args.b), args.grid_points,
-        Tolerances(root=args.tol_root, merge=args.tol_merge),
+        root_tol=args.tol_root, merge_tol=args.tol_merge,
     )
     results = {
         "fn": args.fn,
@@ -371,10 +364,6 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
 
-def _add_active_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--active-tol", type=float, default=DEFAULT_ACTIVE_TOL)
-
-
 def _add_grid_source(p: argparse.ArgumentParser, kinds=GRID_KINDS,
                      default="zeros", flag="--grid-kind") -> None:
     p.add_argument(flag, dest=flag.strip("-").replace("-", "_"),
@@ -385,11 +374,9 @@ def _add_grid_source(p: argparse.ArgumentParser, kinds=GRID_KINDS,
 
 
 def _add_ascent_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int, default=AscentSettings.max_iters)
-    p.add_argument("--armijo", type=float, default=AscentSettings.armijo)
-    p.add_argument("--tol-grad", type=float, default=Tolerances.grad,
+    p.add_argument("--max-iters", type=int, default=MAX_ITERS)
+    p.add_argument("--tol-grad", type=float, default=GRAD_TOL,
                    help="stops the ascent and bounds a critical point's gradient")
-    _add_active_tol(p)
 
 
 def _coord(text: str) -> tuple:
@@ -439,9 +426,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--Z", type=int, default=4)
     p.add_argument("--kappa", default="1.0")
-    p.add_argument("--rank-tol", type=float, default=1e-8)
     _add_grid_source(p)
-    _add_active_tol(p)
     _add_common(p)
     p.set_defaults(func=_cmd_rank)
 
@@ -487,7 +472,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-trap", action="store_true",
                    help="exit 1 unless the corner verifies as a trap")
     _add_seed(p)
-    _add_active_tol(p)
     _add_common(p)
     p.set_defaults(func=_cmd_ce_boundary)
 
@@ -514,8 +498,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--grid-points", type=int, default=2001)
-    p.add_argument("--tol-root", type=float, default=Tolerances.root)
-    p.add_argument("--tol-merge", type=float, default=Tolerances.merge)
+    p.add_argument("--tol-root", type=float, default=ROOT_TOL)
+    p.add_argument("--tol-merge", type=float, default=MERGE_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_census1d)
 
@@ -532,12 +516,36 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
-    known = vars(args)
+    (subparsers,) = [
+        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if dest not in known or dest in ("func", "config"):
+        if dest not in actions or dest in ("help", "config"):
             raise ValueError(f"unknown config key {key!r}")
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(key, value, actions[dest]))
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config entry parsed as its flag would parse it.
+
+    A switch takes true or false. Any other value is read as the flag's
+    text (a JSON string as is, anything else as its JSON form) and goes
+    through the flag's type and choices, so it gives what the flag gives.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        parsed = action.type(text) if action.type else text
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"config key {key!r}: invalid value {value!r}") from exc
+    if action.choices is not None and parsed not in action.choices:
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return parsed
 
 
 def _config_echo(args: argparse.Namespace) -> dict:

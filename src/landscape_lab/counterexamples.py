@@ -16,7 +16,6 @@ import numpy as np
 
 from .qdyn import BasisSet, ControlGrid, NumericalFault, build_su_basis, propagate
 from .landscape import (
-    DEFAULT_ACTIVE_TOL,
     QuantumSystem,
     _at_bounds,
     _objective_stack,
@@ -24,12 +23,11 @@ from .landscape import (
     objective,
     objective_range,
 )
-from .traps import Tolerances, _bisect
+from .traps import ROOT_TOL, _bisect
 
 __all__ = [
     "BoundaryTrapInstance",
     "TrapVerification",
-    "Analytic2DPoint",
     "SliceExtrema",
     "SliceCensus",
     "TrapFreeScan",
@@ -38,8 +36,6 @@ __all__ = [
     "boundary_trap_instance",
     "corner_escape_analysis",
     "verify_boundary_trap",
-    "analytic2d_eval",
-    "analytic2d_gradient",
     "slice_critical_points",
     "slice_census_2d",
     "analytic2d_trap_free_scan",
@@ -195,7 +191,7 @@ def corner_escape_analysis(
     j_corner = objective(system, propagate(grid, basis).total)
     j_global_max = objective_range(system).j_max
 
-    at_upper, at_lower = _at_bounds(grid.values, grid.kappa, DEFAULT_ACTIVE_TOL)
+    at_upper, at_lower = _at_bounds(grid.values, grid.kappa)
 
     rng = np.random.default_rng(seed)
     blocks, norms, missing = [], [], samples
@@ -240,47 +236,19 @@ def verify_boundary_trap(
     )
 
 
-@dataclass(frozen=True)
-class Analytic2DPoint:
-    """A point of the open square (-pi/2, pi/2)^2, kept away from the edges."""
-
-    e1: float
-    e2: float
-    margin: float = DEFAULT_MARGIN
-
-    def __post_init__(self):
-        if not (self.margin > 0.0 and np.isfinite(self.margin)):
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        lim = np.pi / 2.0 - self.margin
-        if not (abs(self.e1) <= lim and abs(self.e2) <= lim):
-            raise ValueError(
-                f"point ({self.e1}, {self.e2}) outside the margin-restricted "
-                f"square |e| <= {lim}"
-            )
-
-
 def _eval_raw(e1, e2):
+    """(2/pi) (tan(e1)^3 - tan(e1) cos(e2) + tan(e2/2)), elementwise."""
     t = np.tan(e1)
     return (2.0 / np.pi) * (t ** 3 - t * np.cos(e2) + np.tan(e2 / 2.0))
 
 
 def _grad_raw(e1, e2):
+    """Closed-form partials (d1, d2) of _eval_raw, elementwise."""
     t = np.tan(e1)
     sec1sq = 1.0 / np.cos(e1) ** 2
     d1 = (2.0 / np.pi) * sec1sq * (3.0 * t ** 2 - np.cos(e2))
     d2 = (2.0 / np.pi) * (t * np.sin(e2) + 0.5 / np.cos(e2 / 2.0) ** 2)
     return d1, d2
-
-
-def analytic2d_eval(p: Analytic2DPoint) -> float:
-    """(2/pi) (tan(e1)^3 - tan(e1) cos(e2) + tan(e2/2))."""
-    return float(_eval_raw(p.e1, p.e2))
-
-
-def analytic2d_gradient(p: Analytic2DPoint) -> tuple:
-    """Closed-form partials (d1, d2) of the two-parameter landscape."""
-    d1, d2 = _grad_raw(p.e1, p.e2)
-    return float(d1), float(d2)
 
 
 @dataclass(frozen=True)
@@ -395,10 +363,9 @@ def _verify_slices(records: list, margin: float) -> None:
     roots = _bisect(lambda x: _grad_raw(x, cs[owner])[0], xs[i], xs[i + 1], ds[owner, i])
     slopes = _grad_raw(roots, cs[owner])[0]
     values = _eval_raw(roots, cs[owner])
-    tol = Tolerances()
     for k, rec in enumerate(records):
         mine = np.flatnonzero(owner == k)
-        off = mine[~(np.abs(slopes[mine]) < tol.root)]
+        off = mine[~(np.abs(slopes[mine]) < ROOT_TOL)]
         if off.size:
             raise NumericalFault(
                 f"slice c={rec.c}: bisection left |f'({roots[off[0]]})| above the "

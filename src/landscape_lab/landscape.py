@@ -46,8 +46,8 @@ SYSTEM_TOL = 1e-12
 OBJECTIVE_UNITARITY_TOL = 1e-10
 OBJECTIVE_IMAG_TOL = 1e-10
 TANGENT_ROW_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-8
-DEFAULT_ACTIVE_TOL = 1e-9
+RANK_TOL = 1e-8
+ACTIVE_TOL = 1e-9
 CONE_RESIDUAL_TOL = 1e-8
 
 # scipy.optimize.linprog, bound on first use by boundary_cone_surjectivity:
@@ -314,55 +314,55 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     return TangentMap(_basis_pairing(A.reshape(n * Z, dim, dim), basis) / np.sqrt(2.0))
 
 
-def local_surjectivity_rank(tm: TangentMap, tol: float = DEFAULT_RANK_TOL) -> tuple:
-    """(rank, surjective): singular values above tol x largest, vs N^2 - 1."""
+def local_surjectivity_rank(tm: TangentMap) -> tuple:
+    """(rank, surjective): singular values above RANK_TOL x largest, vs N^2 - 1."""
     s = np.linalg.svd(tm.rows, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > tol * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
     return rank, rank == tm.rows.shape[1]
 
 
-def _at_bounds(values: np.ndarray, kappa: float, active_tol: float) -> tuple:
+def _at_bounds(values: np.ndarray, kappa: float) -> tuple:
     """(at_upper, at_lower) masks shaped like a grid's values, or a stack of them.
 
-    A control is at a bound when |eps| >= kappa - active_tol * kappa; the
+    A control is at a bound when |eps| >= kappa - ACTIVE_TOL * kappa; the
     mask names the bound it touches.
     """
-    edge = kappa - active_tol * kappa
+    edge = kappa - ACTIVE_TOL * kappa
     return values >= edge, values <= -edge
 
 
-def active_set(grid: ControlGrid, active_tol: float = DEFAULT_ACTIVE_TOL) -> list:
-    """Controls at the bound: (j, z, side) with z 1-based and side '+' or '-'.
-
-    The side is '+' for eps >= 0 and '-' otherwise.
-    """
-    at_upper, at_lower = _at_bounds(grid.values, grid.kappa, active_tol)
+def _active_entries(at_upper: np.ndarray, at_lower: np.ndarray) -> list:
+    """active_set from one grid's _at_bounds masks; a control in both (kappa = 0) is '+'."""
     return [
-        (j, z0 + 1, "+" if grid.values[j, z0] >= 0.0 else "-")
+        (j, z0 + 1, "+" if at_upper[j, z0] else "-")
         for j, z0 in np.argwhere(at_upper | at_lower).tolist()
     ]
 
 
-def _variation_bounds(grid: ControlGrid, active_tol: float) -> list:
+def active_set(grid: ControlGrid) -> list:
+    """Controls at the bound: (j, z, side) with z 1-based and side '+' or '-'.
+
+    The side is '+' for eps >= 0 and '-' otherwise.
+    """
+    return _active_entries(*_at_bounds(grid.values, grid.kappa))
+
+
+def _variation_bounds(grid: ControlGrid) -> list:
     """Per-control (lower, upper) bounds on admissible one-sided variations.
 
     None marks an unbounded side, in the layout linprog takes.
     """
-    at_upper, at_lower = _at_bounds(grid.values, grid.kappa, active_tol)
+    at_upper, at_lower = _at_bounds(grid.values, grid.kappa)
     return [
         (0.0 if lo else None, 0.0 if up else None)
         for lo, up in zip(at_lower.ravel().tolist(), at_upper.ravel().tolist())
     ]
 
 
-def boundary_cone_surjectivity(
-    grid: ControlGrid,
-    tm: TangentMap,
-    active_tol: float = DEFAULT_ACTIVE_TOL,
-) -> tuple:
+def boundary_cone_surjectivity(grid: ControlGrid, tm: TangentMap) -> tuple:
     """(surjective, witness): can admissible variations reach all of su(N)?
 
     Variations are constrained one-sidedly at active bounds (<= 0 at +kappa,
@@ -384,7 +384,7 @@ def boundary_cone_surjectivity(
         from scipy.optimize import linprog
     A = tm.rows.T
     n = A.shape[0]
-    bounds = _variation_bounds(grid, active_tol)
+    bounds = _variation_bounds(grid)
     cost = np.zeros(A.shape[1])
     for target in np.concatenate([np.eye(n), -np.eye(n)]):
         fit = linprog(cost, A_eq=A, b_eq=target, bounds=bounds, method="highs")

@@ -8,28 +8,25 @@ local maximum search to halt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qdyn import BasisSet, ControlGrid, NumericalFault, _blocks, propagate
 from .landscape import (
-    DEFAULT_ACTIVE_TOL,
     ObjectiveRange,
     QuantumSystem,
+    _active_entries,
     _at_bounds,
     _gradient_stack,
     _gradient_values,
     _objective_stack,
-    active_set,
     gradient,
     objective,
     objective_range,
 )
 
 __all__ = [
-    "Tolerances",
-    "AscentSettings",
     "CriticalPointReport",
     "AscentTrace",
     "CensusResult1D",
@@ -37,7 +34,6 @@ __all__ = [
     "BasinRun",
     "BasinCensusResult",
     "CLASSIFICATIONS",
-    "project_ascent_gradient",
     "classify_point",
     "gradient_ascent",
     "basin_census",
@@ -64,6 +60,21 @@ DEGENERATE_RANGE_WIDTH = 1e-15
 # qubit its error against 40-digit arithmetic stays below 11 of these units.
 OBJECTIVE_ROUNDING_ULPS = 16.0
 
+# Default iteration cap of an ascent.
+MAX_ITERS = 500
+
+# Default gradient tolerance: it stops an ascent and bounds the projected
+# gradient norm of a critical point (see classify_point).
+GRAD_TOL = 1e-8
+
+# Armijo fraction: a step must gain this share of its predicted first-order gain.
+ARMIJO = 1e-4
+
+# Default bound on |f'| at a bisected root, and the default distance within
+# which 1-D critical values merge into one.
+ROOT_TOL = 1e-10
+MERGE_TOL = 1e-6
+
 # Trial steps of the ascent's halving ladder evaluated by one batched call.
 LINE_SEARCH_CHUNK = 16
 
@@ -82,28 +93,6 @@ HESS_STEP = 1e-4
 def _objective_rounding(j_value: float) -> float:
     """Largest change of J that rounding alone can account for."""
     return OBJECTIVE_ROUNDING_ULPS * np.finfo(float).eps * abs(j_value)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared by ascent, classification and censuses.
-
-    grad both stops the ascent and bounds the projected gradient norm of a
-    critical point (see classify_point).
-    """
-
-    grad: float = 1e-8
-    root: float = 1e-10
-    merge: float = 1e-6
-    active: float = DEFAULT_ACTIVE_TOL
-
-
-@dataclass(frozen=True)
-class AscentSettings:
-    """Projected-ascent controls."""
-
-    max_iters: int = 500
-    armijo: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -189,21 +178,15 @@ class CensusResult1D:
                 raise ValueError("distinct_values must be drawn from critical_values")
 
 
-def project_ascent_gradient(
-    grid: ControlGrid, grad_values: np.ndarray, active_tol: float
-) -> np.ndarray:
+def _project(g: np.ndarray, at_upper: np.ndarray, at_lower: np.ndarray) -> np.ndarray:
     """Zero the gradient components that point out of the box.
 
-    At +kappa a positive component is outward, at -kappa a negative one; a
-    zero projection is the halting condition of constrained ascent.
+    g is a grid's gradient, or a stack of them, and at_upper, at_lower its
+    _at_bounds masks. At +kappa a positive component is outward, at -kappa
+    a negative one; a zero projection is the halting condition of
+    constrained ascent.
     """
-    return _project(grid.values, grid.kappa, grad_values, active_tol)
-
-
-def _project(values: np.ndarray, kappa: float, g: np.ndarray, active_tol: float) -> np.ndarray:
-    """project_ascent_gradient for a grid's values, or a stack of them, and g alike."""
     pg = np.array(g, dtype=float)
-    at_upper, at_lower = _at_bounds(values, kappa, active_tol)
     pg[at_upper & (pg > 0.0)] = 0.0
     pg[at_lower & (pg < 0.0)] = 0.0
     return pg
@@ -276,46 +259,49 @@ def classify_point(
     system: QuantumSystem,
     grid: ControlGrid,
     basis: BasisSet,
-    tol: Tolerances = Tolerances(),
+    *,
+    tol_grad: float = GRAD_TOL,
 ) -> CriticalPointReport:
     """First-order (projected gradient) and second-order (free Hessian) label.
 
     A point is critical when its projected gradient norm is at most
-    tol_grad = max(tol.grad, sqrt(2 L r)), with L the largest Hessian
-    curvature and r the rounding of J: a gradient that small can raise J by
-    at most about |g|^2 / (2 L) before the curvature cancels it, a gain that
-    rounding hides. Critical points are classified by Hessian eigenvalue
-    signs on the free coordinates. A boundary maximum needs every active
-    component to push outward (>= -tol_grad); it is boundary-trap-max when
-    J is below j_max by more than the census's success margin (SUCCESS_MARGIN
-    x (j_max - j_min)), boundary-max otherwise. boundary-trap-min requires
-    the active components all inert (<= tol_grad). Mixed boundary cases are
-    labelled boundary-saddle. The Hessian is central differences of the
-    analytic gradient with step HESS_STEP x kappa (HESS_STEP for kappa = 0).
+    max(tol_grad, sqrt(2 L r)), reported as the report's tol_grad, with L
+    the largest Hessian curvature and r the rounding of J: a gradient that
+    small can raise J by at most about |g|^2 / (2 L) before the curvature
+    cancels it, a gain that rounding hides. Critical points are classified
+    by Hessian eigenvalue signs on the free coordinates. A boundary maximum
+    needs every active component to push outward (>= -tol_grad); it is
+    boundary-trap-max when J is below j_max by more than the census's
+    success margin (SUCCESS_MARGIN x (j_max - j_min)), boundary-max
+    otherwise. boundary-trap-min requires the active components all inert
+    (<= tol_grad). Mixed boundary cases are labelled boundary-saddle. The
+    Hessian is central differences of the analytic gradient with step
+    HESS_STEP x kappa (HESS_STEP for kappa = 0).
     """
     j_value = objective(system, propagate(grid, basis).total)
     g = gradient(system, grid, basis).values
-    return _classify(system, [grid], [j_value], [g], basis, tol)[0]
+    return _classify(system, [grid], [j_value], [g], basis, tol_grad=tol_grad)[0]
 
 
 def _classify(
-    system: QuantumSystem, grids: list, js, gs, basis: BasisSet, tol: Tolerances
+    system: QuantumSystem, grids: list, js, gs, basis: BasisSet, *, tol_grad: float
 ) -> list:
     """classify_point at each of equally shaped grids, given J and the gradient there.
 
-    The free Hessians of all grids come from one probe stream
-    (_free_hessians), and each is reduced to its eigenvalues once complete.
+    The at-bound masks of all grids are taken once, and the free Hessians
+    come from one probe stream (_free_hessians); each is reduced to its
+    eigenvalues once complete.
     """
     kappa = grids[0].kappa
     values = np.stack([grid.values for grid in grids])
-    at_upper, at_lower = _at_bounds(values, kappa, tol.active)
+    at_upper, at_lower = _at_bounds(values, kappa)
     frees = [np.flatnonzero(~m) for m in (at_upper | at_lower).reshape(len(grids), -1)]
     step = HESS_STEP * (kappa if kappa > 0.0 else 1.0)
     hessians = _free_hessians(system, values, frees, step, grids[0].dt, basis)
     rng_range = objective_range(system)
     return [
-        _report(grid, float(j), g, H, tol, _trapped(float(j), rng_range))
-        for grid, j, g, H in zip(grids, js, gs, hessians)
+        _report(grid, float(j), g, H, up, lo, tol_grad, _trapped(float(j), rng_range))
+        for grid, j, g, H, up, lo in zip(grids, js, gs, hessians, at_upper, at_lower)
     ]
 
 
@@ -327,20 +313,20 @@ def _trapped(j_value: float, rng_range: ObjectiveRange) -> bool:
 
 
 def _report(
-    grid: ControlGrid, j_value: float, g: np.ndarray, H: np.ndarray, tol: Tolerances,
-    trapped: bool,
+    grid: ControlGrid, j_value: float, g: np.ndarray, H: np.ndarray,
+    at_upper: np.ndarray, at_lower: np.ndarray, tol_grad: float, trapped: bool,
 ) -> CriticalPointReport:
-    """classify_point's label from J, the gradient, the free Hessian and
-    whether J is short of the attainable maximum (_trapped)."""
-    act = tuple(active_set(grid, tol.active))
-    pg = project_ascent_gradient(grid, g, tol.active)
+    """classify_point's label from J, the gradient, the free Hessian, the
+    grid's at-bound masks and whether J is short of the attainable maximum
+    (_trapped)."""
+    act = tuple(_active_entries(at_upper, at_lower))
+    pg = _project(g, at_upper, at_lower)
     pnorm = float(np.linalg.norm(pg))
     eigs = np.linalg.eigvalsh((H + H.T) / 2.0) if H.size else np.empty(0)
     n_pos, n_neg, n_zero = _eigenvalue_signs(eigs)
-    tol_grad = tol.grad
     if eigs.size:
         floor = 2.0 * float(np.max(np.abs(eigs))) * _objective_rounding(j_value)
-        tol_grad = max(tol.grad, floor**0.5)
+        tol_grad = max(tol_grad, floor**0.5)
 
     if pnorm > tol_grad:
         cls = "regular"
@@ -381,14 +367,15 @@ def gradient_ascent(
     system: QuantumSystem,
     start: ControlGrid,
     basis: BasisSet,
-    params: AscentSettings = AscentSettings(),
-    tol: Tolerances = Tolerances(),
+    *,
+    max_iters: int = MAX_ITERS,
+    tol_grad: float = GRAD_TOL,
 ) -> AscentTrace:
     """Projected gradient ascent with backtracking (halving) line search.
 
     The trial steps are s0 2^-k, k < MAX_BACKTRACKS, from
     s0 = kappa / |projected gradient|, so the first candidate moves by about
-    one box radius; acceptance requires the Armijo fraction of the
+    one box radius; acceptance requires the Armijo fraction ARMIJO of the
     first-order gain predicted for the realized (clipped) displacement, and
     the first step in ladder order that passes is taken. The ladder is
     evaluated LINE_SEARCH_CHUNK steps per batched call, and cut where a
@@ -396,15 +383,15 @@ def gradient_ascent(
     within the rounding of J: no shorter step can raise J by more than
     rounding, so the point is critical to working precision and the run
     converges. It also converges when the projected gradient norm drops
-    below tol.grad, the tolerance classify_point judges criticality by, or
+    below tol_grad, the tolerance classify_point judges criticality by, or
     is exactly 0, and otherwise stops when max_iters is reached.
     """
-    return _lockstep_ascent(system, [start], basis, params, tol)[0]
+    return _lockstep_ascent(system, [start], basis, max_iters=max_iters, tol_grad=tol_grad)[0]
 
 
 def _lockstep_ascent(
-    system: QuantumSystem, starts: list, basis: BasisSet, params: AscentSettings,
-    tol: Tolerances,
+    system: QuantumSystem, starts: list, basis: BasisSet, *,
+    max_iters: int = MAX_ITERS, tol_grad: float = GRAD_TOL,
 ) -> list:
     """gradient_ascent from each of equally shaped starts, all in one loop.
 
@@ -419,14 +406,14 @@ def _lockstep_ascent(
     vals = np.stack([start.values for start in starts])
     J = _objective_stack(system, vals, dt, basis)
     g = _gradient_stack(system, vals, dt, basis)
-    pg = _project(vals, kappa, g, tol.active)
+    pg = _project(g, *_at_bounds(vals, kappa))
     pnorm = _norms(pg)
     traces = [[(0, float(J[r]), float(pnorm[r]))] for r in range(len(starts))]
-    converged = _gradient_converged(pnorm, tol.grad)
+    converged = _gradient_converged(pnorm, tol_grad)
     running = ~converged
     ladder = 0.5 ** np.arange(MAX_BACKTRACKS)
     it = 0
-    while running.any() and it < params.max_iters:
+    while running.any() and it < max_iters:
         runs = np.flatnonzero(running)
         steps = (kappa if kappa > 0.0 else 1.0) / pnorm[runs, None] * ladder
         moved = np.zeros(len(starts), dtype=bool)
@@ -443,7 +430,7 @@ def _lockstep_ascent(
             Jc = np.zeros(live.shape)
             if live.any():
                 Jc[live] = _objective_stack(system, cands[live], dt, basis)
-                threshold = J[runs, None] + params.armijo * predicted
+                threshold = J[runs, None] + ARMIJO * predicted
                 passed[live] = Jc[live] >= threshold[live]
             k = passed.argmax(axis=1)
             ok = passed.any(axis=1)
@@ -462,14 +449,14 @@ def _lockstep_ascent(
             break
         it += 1
         g[won] = _gradient_stack(system, vals[won], dt, basis)
-        pg[won] = _project(vals[won], kappa, g[won], tol.active)
+        pg[won] = _project(g[won], *_at_bounds(vals[won], kappa))
         pnorm[won] = _norms(pg[won])
-        converged[won] = _gradient_converged(pnorm[won], tol.grad)
+        converged[won] = _gradient_converged(pnorm[won], tol_grad)
         running[won] = ~converged[won]
         for r in won:
             traces[r].append((it, float(J[r]), float(pnorm[r])))
     grids = [start.with_values(v) for start, v in zip(starts, vals)]
-    reports = _classify(system, grids, J, g, basis, tol)
+    reports = _classify(system, grids, J, g, basis, tol_grad=tol_grad)
     return [
         AscentTrace(tuple(trace), bool(done), report)
         for trace, done, report in zip(traces, converged, reports)
@@ -520,8 +507,9 @@ def basin_census(
     system: QuantumSystem,
     basis: BasisSet,
     sampler: BasinSampler,
-    params: AscentSettings = AscentSettings(),
-    tol: Tolerances = Tolerances(),
+    *,
+    max_iters: int = MAX_ITERS,
+    tol_grad: float = GRAD_TOL,
 ) -> BasinCensusResult:
     """Multistart ascent statistics: which fraction fails to reach j_max?
 
@@ -544,7 +532,7 @@ def basin_census(
         )
         for run_seed in seeds
     ]
-    traces = _lockstep_ascent(system, starts, basis, params, tol)
+    traces = _lockstep_ascent(system, starts, basis, max_iters=max_iters, tol_grad=tol_grad)
     runs = [
         BasinRun(
             index=i,
@@ -604,7 +592,9 @@ def critical_value_census_1d(
     f_prime,
     domain: tuple,
     grid_points: int,
-    tol: Tolerances = Tolerances(),
+    *,
+    root_tol: float = ROOT_TOL,
+    merge_tol: float = MERGE_TOL,
 ) -> CensusResult1D:
     """Bracket f' sign changes on a uniform grid and bisect each to a root.
 
@@ -614,7 +604,8 @@ def critical_value_census_1d(
     changes are bracketed, so tangential (non-crossing) zeros of f' and
     constant stretches yield no critical points; a grid too coarse to
     separate neighbouring roots merges them silently. Values within
-    tol.merge of each other collapse into one distinct value.
+    merge_tol of each other collapse into one distinct value, and a root
+    must leave |f'| below root_tol.
     """
     a, b = float(domain[0]), float(domain[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -628,7 +619,7 @@ def critical_value_census_1d(
 
     i = np.flatnonzero(ds[:-1] * ds[1:] < 0.0)
     roots = _bisect(f_prime, xs[i], xs[i + 1], ds[i])
-    off = np.flatnonzero(~(np.abs(_on(f_prime, roots)) < tol.root))
+    off = np.flatnonzero(~(np.abs(_on(f_prime, roots)) < root_tol))
     if off.size:
         raise NumericalFault(
             f"bisection left |f'({roots[off[0]]})| above the root tolerance"
@@ -639,7 +630,7 @@ def critical_value_census_1d(
         raise ValueError("function is not finite at a critical point")
     distinct = []
     for v in sorted(values):
-        if not distinct or v - distinct[-1][-1] > tol.merge:
+        if not distinct or v - distinct[-1][-1] > merge_tol:
             distinct.append([v])
         else:
             distinct[-1].append(v)

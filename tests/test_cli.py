@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -183,6 +184,13 @@ class TestExitCodes:
             ["census1d", "--fn", "sin", "--a", "0", "--b", "1", "--active-tol", "1e-9"],
             ["ascent", "--gtol", "1e-4"],
             ["basins", "--gtol", "1e-4"],
+            ["ascent", "--armijo", "1e-4"],
+            ["basins", "--armijo", "1e-4"],
+            ["rank", "--active-tol", "1e-9"],
+            ["ce-boundary", "--active-tol", "1e-9"],
+            ["ascent", "--active-tol", "1e-9"],
+            ["basins", "--active-tol", "1e-9"],
+            ["rank", "--rank-tol", "1e-8"],
         ],
     )
     def test_flags_no_command_reads_are_rejected(self, argv):
@@ -278,7 +286,97 @@ class TestExpectations:
         assert payload["results"]["min_grad_norm"] > 0.05
 
 
+# Every subcommand also takes -h/--help, --output, --format and --config.
+OPTIONS = {
+    "basis": ["--N"],
+    "kappa-thr": ["--N", "--T", "--Z"],
+    "propagate": ["--N", "--T", "--Z", "--kappa", "--grid-kind", "--fill", "--seed"],
+    "rank": ["--N", "--T", "--Z", "--kappa", "--grid-kind", "--fill", "--seed"],
+    "scan": ["--T", "--Z", "--kappa", "--steps", "--coord1", "--coord2", "--base",
+             "--fill", "--seed"],
+    "ascent": ["--T", "--Z", "--kappa", "--start", "--fill", "--seed", "--max-iters",
+               "--tol-grad"],
+    "basins": ["--T", "--Z", "--kappa", "--count", "--seed", "--max-iters", "--tol-grad"],
+    "ce-boundary": ["--T", "--Z", "--kappa", "--samples", "--radius", "--expect-trap",
+                    "--seed"],
+    "ce-slice": ["--c-min", "--c-max", "--steps", "--margin", "--verify"],
+    "ce-scan2d": ["--steps", "--margin", "--expect-min-grad"],
+    "census1d": ["--fn", "--a", "--b", "--grid-points", "--tol-root", "--tol-merge"],
+}
+
+
+class TestSurface:
+    def test_each_subcommand_takes_exactly_its_options(self):
+        (sub,) = [
+            a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        common = ["-h", "--help", "--output", "--format", "--config"]
+        found = {
+            name: [s for a in p._actions for s in a.option_strings if s not in common]
+            for name, p in sub.choices.items()
+        }
+        assert found == OPTIONS
+        for p in sub.choices.values():
+            assert sorted(s for a in p._actions for s in a.option_strings
+                          if s in common) == sorted(common)
+
+
+def config_run(tmp_path, argv, entries):
+    """Exit code of argv run with a config file holding entries."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries), encoding="utf-8")
+    return main(argv + ["--config", str(cfg), "--output", str(tmp_path / "out.json")])
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "argv,entries",
+        [
+            (["ce-scan2d"], {"steps": "abc"}),
+            (["ce-scan2d"], {"steps": 20.5}),
+            (["ce-scan2d"], {"margin": "x"}),
+            (["ce-scan2d"], {"steps": True}),
+            (["rank"], {"grid_kind": "edge"}),
+            (["ce-scan2d"], {"format": "xml"}),
+            (["ce-slice"], {"verify": "yes"}),
+        ],
+    )
+    def test_a_value_its_flag_rejects_is_a_config_error(self, tmp_path, capsys, argv, entries):
+        assert config_run(tmp_path, argv, entries) == 2
+        assert capsys.readouterr().err.startswith("error: config key")
+
+    def test_command_key_rejected(self, tmp_path, capsys):
+        assert config_run(tmp_path, ["ce-scan2d"], {"command": "basis"}) == 2
+        assert "unknown config key 'command'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,key,value",
+        [
+            (["ascent"], "armijo", 1e-4),
+            (["basins"], "armijo", 1e-4),
+            (["rank"], "active_tol", 1e-9),
+            (["ce-boundary"], "active_tol", 1e-9),
+            (["ascent"], "active-tol", 1e-9),
+            (["rank"], "rank_tol", 1e-8),
+        ],
+    )
+    def test_removed_setting_keys_rejected(self, tmp_path, argv, key, value):
+        assert config_run(tmp_path, argv, {key: value}) == 2
+
+    def test_config_values_give_the_flags_payload(self, tmp_path):
+        # A JSON number for an untyped flag such as --kappa is read as its
+        # text, as the flag reads it, so even the config echo matches.
+        argv = ["ce-boundary", "--samples", "200"]
+        entries = {"kappa": 0.5, "seed": 3, "radius": "auto", "expect_trap": False}
+        assert config_run(tmp_path, argv, entries) == 0
+        by_config = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+        code, by_flags = run_json(
+            tmp_path, "f.json", argv + ["--kappa", "0.5", "--seed", "3", "--radius", "auto"]
+        )
+        assert code == 0
+        del by_config["wall_time_s"], by_flags["wall_time_s"]
+        assert by_config == by_flags
+
     def test_config_overrides_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 20}), encoding="utf-8")

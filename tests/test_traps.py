@@ -1,11 +1,10 @@
-import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 import landscape_lab
 from landscape_lab import (
-    AscentSettings,
     AscentTrace,
     BasinSampler,
     CLASSIFICATIONS,
@@ -13,8 +12,9 @@ from landscape_lab import (
     CriticalPointReport,
     NumericalFault,
     QuantumSystem,
-    Tolerances,
+    active_set,
     basin_census,
+    boundary_cone_surjectivity,
     build_su_basis,
     classify_point,
     critical_value_census_1d,
@@ -22,11 +22,11 @@ from landscape_lab import (
     gradient_ascent,
     objective,
     objective_range,
-    project_ascent_gradient,
+    local_surjectivity_rank,
     propagate,
 )
-from landscape_lab import cli, landscape, qdyn, traps
-from landscape_lab.traps import MAX_BACKTRACKS, _objective_rounding
+from landscape_lab import cli, counterexamples, landscape, qdyn, traps
+from landscape_lab.traps import ARMIJO, GRAD_TOL, MAX_BACKTRACKS, MAX_ITERS, _objective_rounding
 
 BASIS2 = build_su_basis(2)
 SIGMA_Z = BASIS2.elements[2]
@@ -65,19 +65,48 @@ def finite_difference_hessian(system, grid, basis, free_indices, step):
     return next(traps._free_hessians(system, grid.values[None], [free], step, grid.dt, basis))
 
 
+def parameters(fn):
+    """(positional parameter names, {keyword-only name: default}) of fn."""
+    params = inspect.signature(fn).parameters.values()
+    positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    keywords = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+    return positional, keywords
+
+
 class TestSettings:
     def test_tolerance_defaults(self):
-        tol = Tolerances()
-        assert tol.grad == 1e-8
-        assert tol.root == 1e-10
-        assert tol.merge == 1e-6
-        assert tol.active == 1e-9
+        assert traps.MAX_ITERS == 500
+        assert traps.GRAD_TOL == 1e-8
+        assert traps.ARMIJO == 1e-4
+        assert traps.ROOT_TOL == 1e-10
+        assert traps.MERGE_TOL == 1e-6
+        assert landscape.ACTIVE_TOL == 1e-9
+        assert landscape.RANK_TOL == 1e-8
 
     def test_settable_fields(self):
-        assert [f.name for f in dataclasses.fields(AscentSettings)] == ["max_iters", "armijo"]
-        assert [f.name for f in dataclasses.fields(Tolerances)] == [
-            "grad", "root", "merge", "active"
-        ]
+        # The settings left are keywords of the functions that read them.
+        ascent = {"max_iters": 500, "tol_grad": 1e-8}
+        assert parameters(gradient_ascent) == (["system", "start", "basis"], ascent)
+        assert parameters(basin_census) == (["system", "basis", "sampler"], ascent)
+        assert parameters(traps._lockstep_ascent) == (["system", "starts", "basis"], ascent)
+        assert parameters(classify_point) == (
+            ["system", "grid", "basis"], {"tol_grad": 1e-8}
+        )
+        assert parameters(traps._classify) == (
+            ["system", "grids", "js", "gs", "basis"], {"tol_grad": inspect.Parameter.empty}
+        )
+        assert parameters(critical_value_census_1d) == (
+            ["f", "f_prime", "domain", "grid_points"],
+            {"root_tol": 1e-10, "merge_tol": 1e-6},
+        )
+        # The Armijo fraction and the active-bound and rank tolerances are
+        # constants: no parameter sets them.
+        assert parameters(local_surjectivity_rank) == (["tm"], {})
+        assert parameters(active_set) == (["grid"], {})
+        assert parameters(boundary_cone_surjectivity) == (["grid", "tm"], {})
+        assert parameters(landscape._at_bounds) == (["values", "kappa"], {})
+        assert parameters(landscape._variation_bounds) == (["grid"], {})
+        assert parameters(traps._project) == (["g", "at_upper", "at_lower"], {})
 
     def test_names_only_tests_used_are_gone(self):
         gone = [
@@ -90,6 +119,20 @@ class TestSettings:
             (landscape_lab, "finite_difference_hessian"),
             (traps, "finite_difference_hessian"),
             (cli, "RunConfig"),
+            (landscape_lab, "project_ascent_gradient"),
+            (traps, "project_ascent_gradient"),
+            (landscape_lab, "Analytic2DPoint"),
+            (counterexamples, "Analytic2DPoint"),
+            (landscape_lab, "analytic2d_eval"),
+            (counterexamples, "analytic2d_eval"),
+            (landscape_lab, "analytic2d_gradient"),
+            (counterexamples, "analytic2d_gradient"),
+            (landscape_lab, "Tolerances"),
+            (traps, "Tolerances"),
+            (landscape_lab, "AscentSettings"),
+            (traps, "AscentSettings"),
+            (landscape, "DEFAULT_ACTIVE_TOL"),
+            (landscape, "DEFAULT_RANK_TOL"),
         ]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
 
@@ -127,7 +170,7 @@ class TestProjectAscentGradient:
         vals = np.array([[1.0, -1.0], [0.0, 1.0], [-1.0, 0.5]])
         grid = ControlGrid(1.0, 1.0, vals)
         g = np.array([[2.0, -3.0], [1.0, -1.0], [4.0, 2.0]])
-        pg = project_ascent_gradient(grid, g, 1e-9)
+        pg = traps._project(g, *traps._at_bounds(grid.values, grid.kappa))
         # (0,0): +kappa with positive g -> zeroed; (0,1): -kappa with
         # negative g -> zeroed; (1,1): +kappa with negative g -> kept;
         # (2,0): -kappa with positive g -> kept; interior untouched
@@ -137,7 +180,8 @@ class TestProjectAscentGradient:
     def test_interior_grid_is_identity(self):
         grid = ControlGrid.zeros(1.0, 1.0, 3, 2)
         g = np.arange(6.0).reshape(3, 2) - 2.5
-        np.testing.assert_array_equal(project_ascent_gradient(grid, g, 1e-9), g)
+        at_upper, at_lower = traps._at_bounds(grid.values, grid.kappa)
+        np.testing.assert_array_equal(traps._project(g, at_upper, at_lower), g)
 
 
 class TestClassifyPoint:
@@ -262,7 +306,7 @@ class TestGradientAscent:
         # below a gradient tolerance of 0; the run must still stop there as
         # converged.
         trace = gradient_ascent(
-            corner_system(), corner_grid(), BASIS2, tol=Tolerances(grad=0.0)
+            corner_system(), corner_grid(), BASIS2, tol_grad=0.0
         )
         default = gradient_ascent(corner_system(), corner_grid(), BASIS2)
         assert trace.converged
@@ -320,7 +364,7 @@ class TestGradientAscent:
     @pytest.mark.parametrize("grad", [1e-8, 1e-4])
     def test_a_converged_run_is_critical(self, grad):
         sampler = BasinSampler(count=40, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
-        res = basin_census(corner_system(), BASIS2, sampler, tol=Tolerances(grad=grad))
+        res = basin_census(corner_system(), BASIS2, sampler, tol_grad=grad)
         converged = [run for run in res.runs if run.converged]
         assert len(converged) == 40
         assert all(run.classification != "regular" for run in converged)
@@ -411,7 +455,7 @@ class TestCensus1D:
             lambda x: -np.sin(x),
             (0.5, 20.0),
             2001,
-            Tolerances(merge=3.0),
+            merge_tol=3.0,
         )
         assert len(res.critical_points) > 2
         assert len(res.distinct_values) == 1
@@ -440,7 +484,12 @@ class TestCensus1D:
             critical_value_census_1d(np.sin, np.cos, (0.0, 1.0), 1)
 
 
-def sequential_ascent(system, start, basis, params=AscentSettings(), tol=Tolerances()):
+def project(grid, g):
+    """The projected gradient at one grid, its bounds found with ACTIVE_TOL."""
+    return traps._project(g, *traps._at_bounds(grid.values, grid.kappa))
+
+
+def sequential_ascent(system, start, basis, max_iters=MAX_ITERS, tol_grad=GRAD_TOL):
     """The projected ascent with one propagate and objective per halving.
 
     The reference for the chunked line search: (iterates, converged, final grid).
@@ -448,12 +497,12 @@ def sequential_ascent(system, start, basis, params=AscentSettings(), tol=Toleran
     grid, vals, kappa = start, np.array(start.values), start.kappa
     J = objective(system, propagate(grid, basis).total)
     g = gradient(system, grid, basis).values
-    pg = project_ascent_gradient(grid, g, tol.active)
+    pg = project(grid, g)
     pnorm = float(np.linalg.norm(pg))
     trace = [(0, J, pnorm)]
-    converged = pnorm < tol.grad
+    converged = pnorm < tol_grad
     it = 0
-    while not converged and it < params.max_iters:
+    while not converged and it < max_iters:
         s = kappa / pnorm if kappa > 0.0 else 1.0 / pnorm
         accepted = False
         for _ in range(MAX_BACKTRACKS):
@@ -465,7 +514,7 @@ def sequential_ascent(system, start, basis, params=AscentSettings(), tol=Toleran
                 converged = True
                 break
             Jc = objective(system, propagate(grid.with_values(cand), basis).total)
-            if Jc >= J + params.armijo * predicted:
+            if Jc >= J + ARMIJO * predicted:
                 accepted = True
                 break
             s *= 0.5
@@ -473,11 +522,11 @@ def sequential_ascent(system, start, basis, params=AscentSettings(), tol=Toleran
             break
         vals, grid, J = cand, grid.with_values(cand), Jc
         g = gradient(system, grid, basis).values
-        pg = project_ascent_gradient(grid, g, tol.active)
+        pg = project(grid, g)
         pnorm = float(np.linalg.norm(pg))
         it += 1
         trace.append((it, J, pnorm))
-        converged = pnorm < tol.grad
+        converged = pnorm < tol_grad
     return tuple(trace), converged, grid
 
 
@@ -561,19 +610,19 @@ def census_traces(monkeypatch, system, basis, sampler):
     traces = []
     real = traps._lockstep_ascent
 
-    def spy(*args):
-        traces.append(real(*args))
+    def spy(*args, **kwargs):
+        traces.append(real(*args, **kwargs))
         return traces[-1]
 
     monkeypatch.setattr(traps, "_lockstep_ascent", spy)
     return basin_census(system, basis, sampler), traces[0]
 
 
-def assert_run_matches_alone(system, start, basis, trace, params=AscentSettings()):
+def assert_run_matches_alone(system, start, basis, trace, max_iters=MAX_ITERS):
     """One run of a lockstep ascent against gradient_ascent on its start, the
     sequential-halving reference, and classify_point at its end."""
-    alone = gradient_ascent(system, start, basis, params)
-    iterates, converged, final = sequential_ascent(system, start, basis, params)
+    alone = gradient_ascent(system, start, basis, max_iters=max_iters)
+    iterates, converged, final = sequential_ascent(system, start, basis, max_iters)
     assert trace.iterates == alone.iterates == iterates
     assert trace.converged == alone.converged == converged
     np.testing.assert_array_equal(trace.terminal.location.values, final.values)
@@ -619,20 +668,19 @@ class TestLockstepCensus:
         system = corner_system()
         start6 = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(6))
         full = gradient_ascent(system, start6, BASIS2)
-        short = AscentSettings(max_iters=full.iterations - 2)
-        near = gradient_ascent(system, start6, BASIS2, short).terminal.location
+        short = full.iterations - 2
+        near = gradient_ascent(system, start6, BASIS2, max_iters=short).terminal.location
         starts = [corner_grid(), full.terminal.location, near] + [
             ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(seed))
             for seed in range(3)
         ]
-        params = AscentSettings(max_iters=3)
-        traces = traps._lockstep_ascent(system, starts, BASIS2, params, Tolerances())
+        traces = traps._lockstep_ascent(system, starts, BASIS2, max_iters=3)
         stops = [(t.iterations, t.converged) for t in traces]
         assert stops == [(0, True), (0, True), (2, True)] + [(3, False)] * 3
         assert traces[0].terminal.grad_norm_projected == 0.0
-        assert traces[1].terminal.grad_norm_projected >= Tolerances().grad
+        assert traces[1].terminal.grad_norm_projected >= GRAD_TOL
         for start, trace in zip(starts, traces):
-            assert_run_matches_alone(system, start, BASIS2, trace, params)
+            assert_run_matches_alone(system, start, BASIS2, trace, max_iters=3)
 
     def test_gradient_calls_are_batched_across_runs(self, monkeypatch):
         # Start and step gradients go through landscape's _gradient_values,
@@ -707,7 +755,7 @@ class TestBlockedHessian:
         clamped.flat[[0, 3, 4, 8, 11]] = [KAPPA, -KAPPA, KAPPA, KAPPA, -KAPPA]
         grids[1], grids[2] = corner_grid(), grids[2].with_values(clamped)
         values = np.stack([grid.values for grid in grids])
-        at_upper, at_lower = traps._at_bounds(values, KAPPA, Tolerances().active)
+        at_upper, at_lower = traps._at_bounds(values, KAPPA)
         frees = [np.flatnonzero(~m) for m in (at_upper | at_lower).reshape(4, -1)]
         assert [f.size for f in frees] == [12, 0, 7, 12]
         hessians = traps._free_hessians(system, values, frees, 1e-4, 0.25, BASIS2)
