@@ -335,8 +335,9 @@ def _cmd_ce_scan2d(args):
 
 
 def _cmd_census1d(args):
-    if args.fn not in CENSUS_FUNCTIONS:
-        raise ValueError(f"unknown census function {args.fn!r}")
+    missing = [f"--{k}" for k in ("fn", "a", "b") if getattr(args, k) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     f, fp = CENSUS_FUNCTIONS[args.fn]
     census = critical_value_census_1d(
         f, fp, (args.a, args.b), args.grid_points,
@@ -494,9 +495,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ce_scan2d)
 
     p = sub.add_parser("census1d", help="critical points and values of a 1D function")
-    p.add_argument("--fn", choices=sorted(CENSUS_FUNCTIONS), required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    # Required; _cmd_census1d checks them after --config, which may supply them.
+    p.add_argument("--fn", choices=sorted(CENSUS_FUNCTIONS))
+    p.add_argument("--a", type=float)
+    p.add_argument("--b", type=float)
     p.add_argument("--grid-points", type=int, default=2001)
     p.add_argument("--tol-root", type=float, default=ROOT_TOL)
     p.add_argument("--tol-merge", type=float, default=MERGE_TOL)

@@ -10,7 +10,8 @@ manufactures traps for a full interval of constraint values, not a null set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +50,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 INWARD_GAIN_TOL = 1e-10
 SUBOPTIMALITY_TOL = 1e-6
 FIRST_ORDER_TOL = 1e-8
-FIELD_MATCH_TOL = 1e-14
 SLICE_AGREEMENT_TOL = 1e-8
 
 # Grid of the bracketing census that verifies each slice, over |e1| <= pi/2 - margin.
@@ -87,54 +87,32 @@ class BoundaryTrapInstance:
 
     alpha = 2 sqrt(3) T kappa ties the observable to the corner propagator
     phase; the segment-duration condition T/Z < 2 pi / (2 sqrt(3) kappa)
-    (equivalently alpha < 2 pi Z) is required at construction.
+    (equivalently alpha < 2 pi Z) is required at construction. alpha, the
+    system and the all-upper-bound grid follow from (T, Z, kappa).
     """
 
     T: float
     Z: int
     kappa: float
-    alpha: float
-    system: QuantumSystem
-    grid: ControlGrid
+    alpha: float = field(init=False)
+    system: QuantumSystem = field(init=False)
+    grid: ControlGrid = field(init=False)
 
     def __post_init__(self):
-        if not (self.T > 0.0 and np.isfinite(self.T)):
-            raise ValueError(f"horizon must be positive, got {self.T}")
-        if self.Z < 1:
-            raise ValueError(f"segment count must be >= 1, got {self.Z}")
-        if not (self.kappa >= 0.0 and np.isfinite(self.kappa)):
-            raise ValueError(f"bound must be nonnegative, got {self.kappa}")
-        alpha = 2.0 * np.sqrt(3.0) * self.T * self.kappa
-        if abs(self.alpha - alpha) > 1e-12 * max(1.0, alpha):
-            raise ValueError(
-                f"alpha {self.alpha} does not equal 2 sqrt(3) T kappa = {alpha}"
-            )
+        # The grid first: ControlGrid rejects a bad T, Z or kappa before
+        # any arithmetic on them.
+        grid = ControlGrid(self.T, self.kappa, np.full((3, self.Z), self.kappa))
+        alpha = 2.0 * math.sqrt(3.0) * self.T * self.kappa
         if not alpha < 2.0 * np.pi * self.Z:
             kappa_thr = np.pi * self.Z / (np.sqrt(3.0) * self.T)
             raise ValueError(
                 "segment duration too long for this bound: requires "
                 f"T/Z < 2 pi / (2 sqrt(3) kappa), i.e. kappa < {kappa_thr}"
             )
-        if self.system.dim != 2:
-            raise ValueError("instance is two-level by construction")
-        if np.max(np.abs(self.system.rho0 - trap_initial_state())) > FIELD_MATCH_TOL:
-            raise ValueError("rho0 must be (I + s3)/2")
-        expected_obs = trap_observable(alpha)
-        if np.max(np.abs(self.system.observable - expected_obs)) > FIELD_MATCH_TOL:
-            raise ValueError(
-                "observable must carry the coefficients "
-                "(sin(a + pi/3), sin(a - pi/3), sin a)"
-            )
-        if (
-            self.grid.horizon != self.T
-            or self.grid.kappa != self.kappa
-            or self.grid.values.shape != (3, self.Z)
-        ):
-            raise ValueError("grid does not match (T, Z, kappa)")
-        if np.max(np.abs(self.grid.values - self.kappa)) > FIELD_MATCH_TOL * max(
-            1.0, self.kappa
-        ):
-            raise ValueError("grid must sit at the all-upper-bound corner")
+        system = QuantumSystem(2, trap_initial_state(), trap_observable(alpha))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)
@@ -156,12 +134,7 @@ class TrapVerification:
 
 def boundary_trap_instance(T: float, Z: int, kappa: float) -> BoundaryTrapInstance:
     """Assemble the corner-control instance for the given (T, Z, kappa)."""
-    alpha = 2.0 * np.sqrt(3.0) * float(T) * float(kappa)
-    system = QuantumSystem(2, trap_initial_state(), trap_observable(alpha))
-    grid = ControlGrid(float(T), float(kappa), np.full((3, int(Z)), float(kappa)))
-    return BoundaryTrapInstance(
-        T=float(T), Z=int(Z), kappa=float(kappa), alpha=alpha, system=system, grid=grid
-    )
+    return BoundaryTrapInstance(float(T), int(Z), float(kappa))
 
 
 def corner_escape_analysis(
@@ -272,15 +245,11 @@ class SliceExtrema:
 class SliceCensus:
     """Per-slice interior extrema over a range of constraint values c."""
 
-    c_values: tuple
     per_slice: tuple
 
-    def __post_init__(self):
-        if len(self.c_values) != len(self.per_slice):
-            raise ValueError("one extrema record per c value required")
-        for c, rec in zip(self.c_values, self.per_slice):
-            if rec.c != c:
-                raise ValueError("per_slice entry does not match its c value")
+    @property
+    def c_values(self) -> tuple:
+        return tuple(rec.c for rec in self.per_slice)
 
 
 @dataclass(frozen=True)
@@ -340,7 +309,7 @@ def slice_census_2d(
     records = [slice_critical_points(float(c), margin) for c in cs]
     if verify:
         _verify_slices(records, margin)
-    return SliceCensus(c_values=tuple(float(c) for c in cs), per_slice=tuple(records))
+    return SliceCensus(tuple(records))
 
 
 def _verify_slices(records: list, margin: float) -> None:

@@ -166,15 +166,10 @@ class TangentMap:
 def _objective_values(system: QuantumSystem, U: np.ndarray) -> np.ndarray:
     """J = Re Tr[O_hat U rho0 U^dag] for every U of a (..., N, N) stack.
 
-    A U that is not unitary within tolerance is a ValueError; a U or a J
-    that is not finite, or a trace with an imaginary part, is a
-    NumericalFault.
+    The U are taken as checked (by _check_propagation, or by objective for
+    a caller's U). A J that is not finite, or a trace with an imaginary
+    part, is a NumericalFault.
     """
-    if not np.isfinite(U).all():
-        raise NumericalFault("propagator is not finite")
-    defect = np.linalg.norm(_dagger(U) @ U - np.eye(system.dim), axis=(-2, -1))
-    if (defect > OBJECTIVE_UNITARITY_TOL).any():
-        raise ValueError("U is not unitary within tolerance")
     val = np.trace(system.observable @ U @ system.rho0 @ _dagger(U), axis1=-2, axis2=-1)
     imag = np.abs(val.imag).max()
     if imag >= OBJECTIVE_IMAG_TOL:
@@ -185,10 +180,18 @@ def _objective_values(system: QuantumSystem, U: np.ndarray) -> np.ndarray:
 
 
 def objective(system: QuantumSystem, U: np.ndarray) -> float:
-    """J = Re Tr[O_hat U rho0 U^dag] for a unitary U."""
+    """J = Re Tr[O_hat U rho0 U^dag] for a unitary U.
+
+    A U that is not finite is a NumericalFault; one that is not unitary
+    within tolerance is a ValueError.
+    """
     U = np.asarray(U, dtype=complex)
     if U.shape != (system.dim, system.dim):
         raise ValueError(f"expected a {system.dim}x{system.dim} unitary, got {U.shape}")
+    if not np.isfinite(U).all():
+        raise NumericalFault("propagator is not finite")
+    if np.linalg.norm(_dagger(U) @ U - np.eye(system.dim)) > OBJECTIVE_UNITARITY_TOL:
+        raise ValueError("U is not unitary within tolerance")
     return float(_objective_values(system, U))
 
 
@@ -198,7 +201,7 @@ def _objective_stack(
     """J at every grid of a (K, size, Z) value stack, as K values.
 
     The grids are propagated in blocks of at most BLOCK_SEGMENTS segments,
-    each block one kernel call, under the checks of propagate and objective.
+    each block one kernel call, checked as propagate checks one grid.
     """
     return np.concatenate([
         _objective_values(system, _horizon_propagators(values[b], dt, basis))

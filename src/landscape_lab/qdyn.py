@@ -8,7 +8,7 @@ U_Z ... U_2 U_1 (later segments on the left).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, InitVar
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,16 +106,14 @@ class ControlGrid:
     ``values[j, z]`` is the amplitude of generator j on segment z (0-based
     array indices; segment z covers the half-open slice
     ((z) * T/Z, (z+1) * T/Z] in 1-based counting). Every entry must satisfy
-    |value| <= kappa unless validation is explicitly skipped for internal
-    probing of the objective outside the admissible box.
+    |value| <= kappa.
     """
 
     horizon: float
     kappa: float
     values: np.ndarray
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not (self.kappa >= 0.0 and np.isfinite(self.kappa)):
@@ -125,7 +123,7 @@ class ControlGrid:
             raise ValueError(f"values must be a 2-D matrix, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("control values must be finite")
-        if validate and np.any(np.abs(vals) > self.kappa):
+        if np.any(np.abs(vals) > self.kappa):
             worst = float(np.max(np.abs(vals)))
             raise ValueError(
                 f"control amplitude {worst} exceeds the bound {self.kappa}"
@@ -144,9 +142,9 @@ class ControlGrid:
     def dt(self) -> float:
         return self.horizon / self.segments
 
-    def with_values(self, values: np.ndarray, validate: bool = True) -> "ControlGrid":
+    def with_values(self, values: np.ndarray) -> "ControlGrid":
         """Same horizon and bound, different amplitudes."""
-        return ControlGrid(self.horizon, self.kappa, values, validate=validate)
+        return ControlGrid(self.horizon, self.kappa, values)
 
     @classmethod
     def constant(
@@ -178,7 +176,7 @@ class PropagationResult:
     """Per-segment unitaries and their ordered product over the horizon."""
 
     segment_unitaries: tuple
-    total: np.ndarray
+    total: np.ndarray = field(init=False)
 
     def __post_init__(self):
         segs = np.asarray(self.segment_unitaries, dtype=complex)
@@ -186,12 +184,8 @@ class PropagationResult:
             raise ValueError(
                 f"need a nonempty sequence of square segment unitaries, got shape {segs.shape}"
             )
-        total = np.asarray(self.total, dtype=complex)
-        if total.shape != segs.shape[1:]:
-            raise ValueError(f"total has shape {total.shape}, segments {segs.shape[1:]}")
-        _check_propagation(segs, total)
+        object.__setattr__(self, "total", _frozen(_check_propagation(segs)))
         object.__setattr__(self, "segment_unitaries", tuple(_frozen(segs)))
-        object.__setattr__(self, "total", _frozen(total))
 
     @property
     def dim(self) -> int:
@@ -301,18 +295,15 @@ def _ordered_products(U: np.ndarray) -> np.ndarray:
     return P
 
 
-def _check_propagation(segs: np.ndarray, total: np.ndarray = None) -> np.ndarray:
-    """The invariants of a propagation, over a (..., Z, n, n) segment stack.
+def _check_propagation(segs: np.ndarray) -> np.ndarray:
+    """The ordered product of a (..., Z, n, n) segment stack, checked.
 
-    Every segment and every (..., n, n) total must be unitary in Frobenius
-    norm, and every total must have determinant 1 and equal the ordered
-    product of its segments; otherwise NumericalFault names the first
-    failure. Each check is written to fail on NaN. Without a total, the
-    ordered product is the total. Returns the checked total.
+    Every segment and every total U_Z ... U_1 must be unitary in Frobenius
+    norm, and every total must have determinant 1; otherwise NumericalFault
+    names the first failure. Each check is written to fail on NaN. This is
+    the one place a propagation's invariants are checked.
     """
-    product = _ordered_products(segs)[..., -1, :, :]
-    if total is None:
-        total = product
+    total = _ordered_products(segs)[..., -1, :, :]
     both = np.concatenate((segs, total[..., None, :, :]), axis=-3)
     gram = _dagger(both) @ both - np.eye(total.shape[-1])
     bad = ~(np.linalg.norm(gram, axis=(-2, -1)) <= UNITARITY_TOL)
@@ -323,8 +314,6 @@ def _check_propagation(segs: np.ndarray, total: np.ndarray = None) -> np.ndarray
         raise NumericalFault("total propagator failed the unitarity check")
     if not (np.abs(np.linalg.det(total) - 1.0) <= DETERMINANT_TOL).all():
         raise NumericalFault("total propagator is not special unitary")
-    if not np.abs(product - total).max() <= UNITARITY_TOL:
-        raise NumericalFault("total does not equal the ordered segment product")
     return total
 
 
@@ -337,4 +326,4 @@ def _horizon_propagators(values: np.ndarray, dt: float, basis: BasisSet) -> np.n
 def propagate(grid: ControlGrid, basis: BasisSet) -> PropagationResult:
     """Segment unitaries and the horizon propagator U_Z ... U_1."""
     _, _, U = _segment_kernel(_hamiltonian_stack(grid.values, basis), grid.dt)
-    return PropagationResult(U, _ordered_products(U)[-1])
+    return PropagationResult(U)

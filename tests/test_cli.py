@@ -213,6 +213,19 @@ class TestExitCodes:
     def test_non_unitary_line_search_segment_is_numerical(self):
         assert main(["ascent", "--start", "random", "--seed", "3"]) == 3
 
+    @pytest.mark.parametrize("flag,value", [("--T", "inf"), ("--kappa", "1e308")])
+    def test_a_bad_instance_input_is_one_error_line(self, flag, value):
+        # In a fresh process, so that a numpy warning would reach stderr.
+        src = os.path.dirname(os.path.dirname(landscape.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "landscape_lab", "ce-boundary", flag, value],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestZeroGtol:
     def test_exactly_critical_corner_converges_without_warnings(self, tmp_path):
@@ -388,6 +401,23 @@ class TestConfigFile:
         assert code == 0
         assert payload["config"]["steps"] == 20
         assert payload["results"]["grid_steps"] == 20
+
+    def test_config_supplies_the_required_flags(self, tmp_path):
+        entries = {"fn": "sin", "a": -20, "b": 20}
+        assert config_run(tmp_path, ["census1d"], entries) == 0
+        by_config = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+        code, by_flags = run_json(
+            tmp_path, "f.json", ["census1d", "--fn", "sin", "--a", "-20", "--b", "20"]
+        )
+        assert code == 0
+        assert by_config["results"] == by_flags["results"]
+        assert by_config["results_hex"] == by_flags["results_hex"]
+
+    def test_a_required_flag_neither_given_nor_configured(self, tmp_path, capsys):
+        assert config_run(tmp_path, ["census1d"], {"fn": "sin", "a": -20}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--b" in err
+        assert "--a" not in err and "--fn" not in err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"

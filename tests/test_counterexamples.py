@@ -13,6 +13,7 @@ from landscape_lab import (
     boundary_trap_instance,
     build_su_basis,
     corner_escape_analysis,
+    kappa_threshold,
     objective,
     propagate,
     psi_tangent_map,
@@ -54,6 +55,23 @@ class TestInstanceConstruction:
         # alpha = 2 pi equals 2 pi Z exactly at Z = 1, which is not allowed
         with pytest.raises(ValueError):
             boundary_trap_instance(1.0, 1, KAPPA)
+
+    def test_segment_duration_condition_at_the_kappa_threshold(self):
+        thr = kappa_threshold(BASIS2, 1.0, 4)
+        inst = boundary_trap_instance(1.0, 4, np.nextafter(thr, 0))
+        assert inst.alpha < 8.0 * np.pi
+        with pytest.raises(ValueError, match="segment duration"):
+            boundary_trap_instance(1.0, 4, thr)
+
+    @pytest.mark.parametrize(
+        "T,kappa,message",
+        [(np.inf, 1.0, "horizon must be positive"), (1.0, 1e308, "segment duration")],
+    )
+    def test_bad_inputs_raise_one_value_error_and_no_warning(self, T, kappa, message):
+        # Warnings are errors under the test settings, so a numpy overflow
+        # or invalid-value warning would surface here instead.
+        with pytest.raises(ValueError, match=message):
+            boundary_trap_instance(T, 4, kappa)
 
     def test_zero_bound_is_a_valid_degenerate_instance(self):
         inst = boundary_trap_instance(1.0, 4, 0.0)

@@ -34,6 +34,12 @@ def random_system(N, rng):
     return QuantumSystem(N, rho, (O + O.conj().T) / 2.0)
 
 
+def probe_grid(grid, flat):
+    """grid's horizon with the given values, bounded by their own largest size."""
+    v = flat.reshape(grid.values.shape)
+    return ControlGrid(grid.horizon, float(np.max(np.abs(v))), v)
+
+
 def fd_gradient(system, grid, basis, h=1e-5):
     flat = grid.values.ravel()
     out = np.empty(flat.size)
@@ -42,14 +48,8 @@ def fd_gradient(system, grid, basis, h=1e-5):
         plus[r] += h
         minus = flat.copy()
         minus[r] -= h
-        jp = objective(
-            system,
-            propagate(grid.with_values(plus.reshape(grid.values.shape), validate=False), basis).total,
-        )
-        jm = objective(
-            system,
-            propagate(grid.with_values(minus.reshape(grid.values.shape), validate=False), basis).total,
-        )
+        jp = objective(system, propagate(probe_grid(grid, plus), basis).total)
+        jm = objective(system, propagate(probe_grid(grid, minus), basis).total)
         out[r] = (jp - jm) / (2 * h)
     return out.reshape(grid.values.shape)
 

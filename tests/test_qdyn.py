@@ -16,6 +16,7 @@ from landscape_lab.qdyn import (
     _check_propagation,
     _divided_differences,
     _hamiltonian_stack,
+    _horizon_propagators,
     _segment_kernel,
 )
 
@@ -102,10 +103,6 @@ class TestControlGrid:
     def test_bound_violation_rejected(self):
         with pytest.raises(ValueError):
             ControlGrid(1.0, 0.5, np.full((3, 2), 0.6))
-
-    def test_bound_violation_allowed_when_unvalidated(self):
-        grid = ControlGrid(1.0, 0.5, np.full((3, 2), 0.6), validate=False)
-        assert np.all(grid.values == 0.6)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf])
     def test_bad_horizon(self, horizon):
@@ -340,21 +337,29 @@ class TestPropagate:
         plus[j, z - 1] += h
         minus = np.array(grid.values)
         minus[j, z - 1] -= h
-        fd = (
-            propagate(grid.with_values(plus, validate=False), basis).total
-            - propagate(grid.with_values(minus, validate=False), basis).total
-        ) / (2 * h)
-        assert np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic)) < 1e-6
 
-    def test_result_rejects_wrong_total(self):
-        grid = ControlGrid.zeros(1.0, 1.0, 3, 2)
-        prop = propagate(grid, build_su_basis(2))
-        with pytest.raises(NumericalFault):
-            PropagationResult(prop.segment_unitaries, -np.eye(2))
+        def total(v):
+            probe = ControlGrid(grid.horizon, float(np.max(np.abs(v))), v)
+            return propagate(probe, basis).total
+
+        fd = (total(plus) - total(minus)) / (2 * h)
+        assert np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic)) < 1e-6
 
     def test_result_rejects_non_unitary_segment(self):
         with pytest.raises(NumericalFault):
-            PropagationResult((np.diag([1.0, 0.5]),), np.diag([1.0, 0.5]))
+            PropagationResult((np.diag([1.0, 0.5]),))
+
+    def test_total_unitarity_is_checked_on_the_product(self):
+        # Each segment passes the unitarity check; their product does not.
+        segs = np.stack([(1.0 + 3e-13) * np.eye(2, dtype=complex)] * 10)
+        with pytest.raises(NumericalFault, match="total propagator failed the unitarity"):
+            PropagationResult(segs)
+
+    def test_total_is_the_batched_horizon_propagator(self):
+        basis = build_su_basis(3)
+        grid = ControlGrid.uniform_random(1.3, 1.1, basis.size, 7, np.random.default_rng(5))
+        batched = _horizon_propagators(grid.values[None], grid.dt, basis)[0]
+        assert np.array_equal(propagate(grid, basis).total, batched)
 
 
 class TestNonFiniteFails:
@@ -365,15 +370,6 @@ class TestNonFiniteFails:
     def test_nan_segments_are_a_fault(self):
         with pytest.raises(NumericalFault, match="segment unitary 0"):
             _check_propagation(self.NAN_STACK)
-
-    def test_nan_segments_with_a_nan_total_are_a_fault(self):
-        with pytest.raises(NumericalFault, match="segment unitary 0"):
-            _check_propagation(self.NAN_STACK, self.NAN_STACK[0])
-
-    def test_nan_total_is_a_fault(self):
-        segs = np.stack([np.eye(2, dtype=complex)] * 2)
-        with pytest.raises(NumericalFault, match="total propagator"):
-            _check_propagation(segs, np.full((2, 2), np.nan, dtype=complex))
 
     def test_nan_hamiltonian_is_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):

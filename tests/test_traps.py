@@ -107,6 +107,8 @@ class TestSettings:
         assert parameters(landscape._at_bounds) == (["values", "kappa"], {})
         assert parameters(landscape._variation_bounds) == (["grid"], {})
         assert parameters(traps._project) == (["g", "at_upper", "at_lower"], {})
+        # A probe outside the box is a grid with a larger bound.
+        assert parameters(ControlGrid.with_values) == (["self", "values"], {})
 
     def test_names_only_tests_used_are_gone(self):
         gone = [
@@ -715,7 +717,8 @@ def column_loop_hessian(system, grid, basis, free, step):
         for sign in (1.0, -1.0):
             v = flat.copy()
             v[idx] += sign * step
-            probe = grid.with_values(v.reshape(grid.values.shape), validate=False)
+            v = v.reshape(grid.values.shape)
+            probe = ControlGrid(grid.horizon, float(np.max(np.abs(v))), v)
             g.append(gradient(system, probe, basis).values.ravel()[free])
         H[:, col] = (g[0] - g[1]) / (2.0 * step)
     return H
