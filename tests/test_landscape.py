@@ -220,6 +220,42 @@ class TestTangentMap:
             TangentMap(np.zeros((4, 5)))
 
 
+class TestDegenerateSpectra:
+    # Every segment Hamiltonian has a repeated eigenvalue: 0 three times on
+    # the zero grid, and a, a, -2a when only the diagonal generator
+    # diag(1, 1, -2) / sqrt(3) is nonzero.
+    @pytest.mark.parametrize("diagonal", [(0.0, 0.0, 0.0), (0.3, -0.7, 1.1)])
+    def test_gradient_and_tangent_map(self, diagonal):
+        basis = build_su_basis(3)
+        values = np.zeros((8, 3))
+        values[7] = diagonal
+        grid = ControlGrid(1.0, 1.5, values)
+        system = random_system(3, np.random.default_rng(5))
+        g = gradient(system, grid, basis).values
+        assert np.max(np.abs(g - fd_gradient(system, grid, basis))) <= 1e-8
+        tm = psi_tangent_map(grid, basis)
+        assert local_surjectivity_rank(tm) == (8, True)
+        U = propagate(grid, basis).total
+        M = U.conj().T @ system.observable @ U
+        comm = 1j * (system.rho0 @ M - M @ system.rho0)
+        G = np.einsum("kab,ba->k", basis.stack, comm).real / np.sqrt(2.0)
+        assert np.max(np.abs(tm.rows @ G - g.ravel())) < 1e-12
+
+
+class TestGlobalPhase:
+    def test_objective_ignores_a_global_phase(self):
+        rng = np.random.default_rng(8)
+        for N in (2, 3):
+            basis = build_su_basis(N)
+            system = random_system(N, rng)
+            grid = ControlGrid.uniform_random(1.0, 1.5, basis.size, 4, rng)
+            U = propagate(grid, basis).total
+            J = objective(system, U)
+            for phi in (0.3, np.pi / 2, 2.0, np.pi, -1.0):
+                J_phase = objective(system, np.exp(1j * phi) * U)
+                assert abs(J_phase - J) <= 4 * np.finfo(float).eps
+
+
 def loop_reference(system, grid, basis):
     """Segment by segment, with scipy: U_z, dU_z/d eps_{j,z}, gradient, tangent rows."""
     dt, Z, n = grid.dt, grid.segments, basis.size

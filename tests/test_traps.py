@@ -15,6 +15,7 @@ from landscape_lab import (
     active_set,
     basin_census,
     boundary_cone_surjectivity,
+    boundary_trap_instance,
     build_su_basis,
     classify_point,
     critical_value_census_1d,
@@ -491,10 +492,15 @@ def project(grid, g):
     return traps._project(g, *traps._at_bounds(grid.values, grid.kappa))
 
 
-def sequential_ascent(system, start, basis, max_iters=MAX_ITERS, tol_grad=GRAD_TOL):
+def sequential_ascent(
+    system, start, basis, max_iters=MAX_ITERS, tol_grad=GRAD_TOL, *, warm=True
+):
     """The projected ascent with one propagate and objective per halving.
 
-    The reference for the chunked line search: (iterates, converged, final grid).
+    The reference for the chunked line search: (iterates, converged, final
+    grid, trial grids evaluated). Each line search starts at s0 2^-max(k - 1, 0),
+    k the ladder index of the last accepted step (0 before the first);
+    warm=False restarts every line search at s0, the cold ladder.
     """
     grid, vals, kappa = start, np.array(start.values), start.kappa
     J = objective(system, propagate(grid, basis).total)
@@ -503,11 +509,12 @@ def sequential_ascent(system, start, basis, max_iters=MAX_ITERS, tol_grad=GRAD_T
     pnorm = float(np.linalg.norm(pg))
     trace = [(0, J, pnorm)]
     converged = pnorm < tol_grad
-    it = 0
+    it = trials = k = 0
     while not converged and it < max_iters:
-        s = kappa / pnorm if kappa > 0.0 else 1.0 / pnorm
+        top = max(k - 1, 0) if warm else 0
+        s = (kappa / pnorm if kappa > 0.0 else 1.0 / pnorm) * 0.5**top
         accepted = False
-        for _ in range(MAX_BACKTRACKS):
+        for k in range(top, top + MAX_BACKTRACKS):
             cand = np.clip(vals + s * pg, -kappa, kappa)
             predicted = float(np.sum(g * (cand - vals)))
             if predicted <= 0.0:
@@ -516,6 +523,7 @@ def sequential_ascent(system, start, basis, max_iters=MAX_ITERS, tol_grad=GRAD_T
                 converged = True
                 break
             Jc = objective(system, propagate(grid.with_values(cand), basis).total)
+            trials += 1
             if Jc >= J + ARMIJO * predicted:
                 accepted = True
                 break
@@ -529,7 +537,7 @@ def sequential_ascent(system, start, basis, max_iters=MAX_ITERS, tol_grad=GRAD_T
         it += 1
         trace.append((it, J, pnorm))
         converged = pnorm < tol_grad
-    return tuple(trace), converged, grid
+    return tuple(trace), converged, grid, trials
 
 
 def random_qutrit_system():
@@ -542,7 +550,7 @@ def random_qutrit_system():
 
 def assert_same_run(system, start, basis):
     trace = gradient_ascent(system, start, basis)
-    iterates, converged, final = sequential_ascent(system, start, basis)
+    iterates, converged, final, _ = sequential_ascent(system, start, basis)
     assert trace.iterates == iterates
     assert trace.converged == converged
     np.testing.assert_array_equal(trace.terminal.location.values, final.values)
@@ -624,7 +632,7 @@ def assert_run_matches_alone(system, start, basis, trace, max_iters=MAX_ITERS):
     """One run of a lockstep ascent against gradient_ascent on its start, the
     sequential-halving reference, and classify_point at its end."""
     alone = gradient_ascent(system, start, basis, max_iters=max_iters)
-    iterates, converged, final = sequential_ascent(system, start, basis, max_iters)
+    iterates, converged, final, _ = sequential_ascent(system, start, basis, max_iters)
     assert trace.iterates == alone.iterates == iterates
     assert trace.converged == alone.converged == converged
     np.testing.assert_array_equal(trace.terminal.location.values, final.values)
@@ -706,6 +714,82 @@ class TestLockstepCensus:
             monkeypatch.setattr(traps, name, None)
         res = basin_census(corner_system(), BASIS2, CENSUS_OF_10)
         assert all(run.classification in CLASSIFICATIONS for run in res.runs)
+
+
+def trial_grid_counts(monkeypatch):
+    """The number of grids in each batched propagation from here on."""
+    calls = []
+    real = landscape._horizon_propagators
+
+    def spy(values, dt, basis):
+        calls.append(len(values))
+        return real(values, dt, basis)
+
+    monkeypatch.setattr(landscape, "_horizon_propagators", spy)
+    return calls
+
+
+def assert_matches_cold_ladder(system, start, basis, traces):
+    """Each trace from start against the cold-ladder reference and
+    classify_point at its end."""
+    iterates, converged, final, _ = sequential_ascent(system, start, basis, warm=False)
+    cold = classify_point(system, final, basis)
+    for trace in traces:
+        assert trace.iterates == iterates
+        assert trace.converged == converged
+        np.testing.assert_array_equal(trace.terminal.location.values, final.values)
+        assert trace.terminal.classification == cold.classification
+        assert trace.terminal.hessian_eigenvalues == cold.hessian_eigenvalues
+
+
+class TestWarmLadder:
+    """The warm-started ladder against the cold one, which restarts every
+    line search at kappa / |pg|."""
+
+    def test_corner_qubit_runs_match_the_cold_ladder(self, monkeypatch):
+        # Census starts 0-49, which are also the 50 starts of acceptance
+        # criterion 6, in the census and alone, and criterion 6's corner.
+        inst = boundary_trap_instance(1.0, 4, KAPPA)
+        sampler = BasinSampler(count=50, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+        _, traces = census_traces(monkeypatch, inst.system, BASIS2, sampler)
+        for seed, trace in enumerate(traces):
+            start = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(seed))
+            alone = gradient_ascent(inst.system, start, BASIS2)
+            assert_matches_cold_ladder(inst.system, start, BASIS2, [trace, alone])
+        corner = gradient_ascent(inst.system, inst.grid, BASIS2)
+        assert corner.terminal.classification == "boundary-trap-max"
+        assert_matches_cold_ladder(inst.system, inst.grid, BASIS2, [corner])
+
+    @pytest.mark.parametrize("kappa", [0.2, 0.4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_qutrit_ends_where_the_cold_ladder_ends(self, monkeypatch, kappa, seed):
+        # At kappa 0.2 the clipping can make the warm ladder skip a longer
+        # step that the cold ladder takes, so the paths may differ; the
+        # end point may not.
+        basis = build_su_basis(3)
+        system = random_qutrit_system()
+        start = ControlGrid.uniform_random(1.0, kappa, 8, 5, np.random.default_rng(seed))
+        calls = trial_grid_counts(monkeypatch)
+        warm = gradient_ascent(system, start, basis)
+        warm_trials = sum(calls[1:])
+        iterates, converged, final, cold_trials = sequential_ascent(
+            system, start, basis, warm=False
+        )
+        cold = classify_point(system, final, basis)
+        assert warm.terminal.classification == cold.classification
+        assert warm.converged == converged
+        assert warm.terminal.active_set == cold.active_set
+        assert abs(warm.j_terminal - iterates[-1][1]) <= 1e-12
+        assert warm_trials < cold_trials
+
+    def test_census_spends_at_most_6_trial_grids_per_iteration(self, monkeypatch):
+        # The cold ladder spends 22.6 on this census.
+        calls = trial_grid_counts(monkeypatch)
+        sampler = BasinSampler(count=50, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+        res = basin_census(corner_system(), BASIS2, sampler)
+        iterations = sum(run.iterations for run in res.runs)
+        assert calls[0] == 50
+        assert sum(calls[1:]) <= 6 * iterations
 
 
 def column_loop_hessian(system, grid, basis, free, step):
