@@ -26,11 +26,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .qdyn import ControlGrid, NumericalFault, build_su_basis, propagate
+from .qdyn import ControlGrid, NumericalFault, _blocks, build_su_basis, propagate
 from .landscape import (
     QuantumSystem,
-    _gradient_stack,
-    _objective_stack,
+    _evaluated,
+    _gradient_from,
     boundary_cone_surjectivity,
     kappa_threshold,
     local_surjectivity_rank,
@@ -207,11 +207,11 @@ def _cmd_scan(args):
     stack[:, j1 - 1, z1 - 1] = c1
     stack[:, j2 - 1, z2 - 1] = c2
     rows = []
-    if c1.size:
-        J = _objective_stack(system, stack, grid.dt, basis)
-        gr = _gradient_stack(system, stack, grid.dt, basis)
-        rows = np.column_stack(
-            [c1, c2, J, gr[:, j1 - 1, z1 - 1], gr[:, j2 - 1, z2 - 1]]
+    for b in _blocks(c1.size, args.Z):
+        J, lam, V, P = _evaluated(system, stack[b], grid.dt, basis)
+        gr = _gradient_from(system, lam, V, P, grid.dt, basis)
+        rows += np.column_stack(
+            [c1[b], c2[b], J, gr[:, j1 - 1, z1 - 1], gr[:, j2 - 1, z2 - 1]]
         ).tolist()
     results = {
         "alpha": alpha,
@@ -294,6 +294,7 @@ def _cmd_ce_boundary(args):
         "j_global_max": ver.j_global_max,
         "gradient_norm_at_corner": ver.gradient_norm_at_corner,
         "trap_order": ver.trap_order,
+        "kkt_margin": ver.kkt_margin,
         "corner_unitary": _interleave(propagate(inst.grid, basis).total),
         "cone_surjective": cone_ok,
         "witness": None if witness is None else [float(w) for w in witness],

@@ -121,7 +121,11 @@ class TrapVerification:
 
     trap_order distinguishes a first-order trap (outward gradient bounded
     away from zero) from a second-order one (vanishing gradient, escape
-    blocked by curvature); None when the point is not a trap.
+    blocked by curvature); None when the point is not a trap. kkt_margin is
+    the least outward gradient component over the controls at a bound (dJ/d
+    eps at +kappa, -dJ/d eps at -kappa), None when none is: at a corner, a
+    positive margin makes the grid a strict constrained local maximum by
+    first order alone.
     """
 
     is_trap: bool
@@ -130,6 +134,7 @@ class TrapVerification:
     j_global_max: float
     gradient_norm_at_corner: float
     trap_order: int | None
+    kkt_margin: float | None
 
 
 def boundary_trap_instance(T: float, Z: int, kappa: float) -> BoundaryTrapInstance:
@@ -183,7 +188,9 @@ def corner_escape_analysis(
     pert = np.clip(grid.values + d, -grid.kappa, grid.kappa)
     max_gain = float(np.max(_objective_stack(system, pert, grid.dt, basis) - j_corner))
 
-    grad_norm = gradient(system, grid, basis).norm
+    grad = gradient(system, grid, basis)
+    grad_norm = grad.norm
+    outward = np.concatenate([grad.values[at_upper], -grad.values[at_lower]])
     is_trap = (max_gain <= INWARD_GAIN_TOL) and (
         j_corner < j_global_max - SUBOPTIMALITY_TOL
     )
@@ -197,6 +204,7 @@ def corner_escape_analysis(
         j_global_max=float(j_global_max),
         gradient_norm_at_corner=float(grad_norm),
         trap_order=trap_order,
+        kkt_margin=float(outward.min()) if outward.size else None,
     )
 
 

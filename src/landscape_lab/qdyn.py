@@ -184,7 +184,7 @@ class PropagationResult:
             raise ValueError(
                 f"need a nonempty sequence of square segment unitaries, got shape {segs.shape}"
             )
-        object.__setattr__(self, "total", _frozen(_check_propagation(segs)))
+        object.__setattr__(self, "total", _frozen(_check_propagation(segs)[-1]))
         object.__setattr__(self, "segment_unitaries", tuple(_frozen(segs)))
 
     @property
@@ -268,15 +268,50 @@ def _divided_differences(lam: np.ndarray, dt: float) -> np.ndarray:
     degeneracy threshold and reduces to f'(a) on the diagonal. The derivative
     of U_z along a Hermitian D is V_z (K_z o V_z^dag D V_z) V_z^dag.
     """
-    a = lam[..., :, None]
-    b = lam[..., None, :]
+    return _difference_quotients(lam[..., :, None], lam[..., None, :], dt)
+
+
+def _difference_quotients(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """(f(a) - f(b)) / (a - b) for f(x) = exp(-i x dt), elementwise, in the sinc form."""
     return -1j * dt * np.exp(-0.5j * dt * (a + b)) * np.sinc(0.5 * dt * (a - b) / np.pi)
 
 
-def _blocks(count: int, segments: int) -> list:
-    """Slices that split `count` items of `segments` segment matrices each
-    into blocks of at most BLOCK_SEGMENTS matrices (one item at least)."""
-    step = max(1, BLOCK_SEGMENTS // segments)
+def _second_divided_differences(lam: np.ndarray, dt: float) -> np.ndarray:
+    """Second divided differences f[lam_p, lam_q, lam_r] of f(x) = exp(-i x dt).
+
+    Entry (..., p, q, r) belongs to eigenvalue row (...). With lo < hi the
+    farthest pair of the three eigenvalues and w the third, the entry is
+    (f[w, hi] - f[w, lo]) / (hi - lo), from the sinc-form first differences.
+    That quotient loses about eps / (dt (hi - lo)) to cancellation, so where
+    dt (hi - lo) <= 1e-2 the entry is instead the series about the mean m,
+    -dt^2 exp(-i m dt) sum_k (-i)^k h_k / (k + 2)!, with h_k the complete
+    homogeneous polynomial of degree k in the scaled deviations dt (lam - m):
+    h_1 = 0, h_2 = -e2, h_3 = e3, h_4 = e2^2 and h_5 = -2 e2 e3 in their
+    elementary symmetric polynomials. The first term left out, h_6, is
+    below 1e-16 of the sum, and an exact tie gives f''(m) / 2.
+    """
+    triples = np.broadcast_arrays(
+        lam[..., :, None, None], lam[..., None, :, None], lam[..., None, None, :]
+    )
+    lo, w, hi = np.moveaxis(np.sort(np.stack(triples, axis=-1), axis=-1), -1, 0)
+    near = dt * (hi - lo) <= 1e-2
+    gap = np.where(near, 1.0, hi - lo)
+    quotient = (_difference_quotients(w, hi, dt) - _difference_quotients(w, lo, dt)) / gap
+    mean = (lo + w + hi) / 3.0
+    u = [dt * (x - mean) for x in (lo, w, hi)]
+    e2 = u[0] * u[1] + u[1] * u[2] + u[2] * u[0]
+    e3 = u[0] * u[1] * u[2]
+    series = -dt * dt * np.exp(-1j * dt * mean) * (
+        0.5 + e2 / 24.0 + e2 * e2 / 720.0 + 1j * (e3 / 120.0 + e2 * e3 / 2520.0)
+    )
+    return np.where(near, series, quotient)
+
+
+def _blocks(count: int, size: int) -> list:
+    """Slices that split `count` items of `size` matrices each (a grid's
+    segments, or its tangent rows) into blocks of at most BLOCK_SEGMENTS
+    matrices (one item at least)."""
+    step = max(1, BLOCK_SEGMENTS // size)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
@@ -296,14 +331,15 @@ def _ordered_products(U: np.ndarray) -> np.ndarray:
 
 
 def _check_propagation(segs: np.ndarray) -> np.ndarray:
-    """The ordered product of a (..., Z, n, n) segment stack, checked.
+    """The prefix products (_ordered_products) of a (..., Z, n, n) segment stack, checked.
 
     Every segment and every total U_Z ... U_1 must be unitary in Frobenius
     norm, and every total must have determinant 1; otherwise NumericalFault
     names the first failure. Each check is written to fail on NaN. This is
     the one place a propagation's invariants are checked.
     """
-    total = _ordered_products(segs)[..., -1, :, :]
+    P = _ordered_products(segs)
+    total = P[..., -1, :, :]
     both = np.concatenate((segs, total[..., None, :, :]), axis=-3)
     gram = _dagger(both) @ both - np.eye(total.shape[-1])
     bad = ~(np.linalg.norm(gram, axis=(-2, -1)) <= UNITARITY_TOL)
@@ -314,13 +350,19 @@ def _check_propagation(segs: np.ndarray) -> np.ndarray:
         raise NumericalFault("total propagator failed the unitarity check")
     if not (np.abs(np.linalg.det(total) - 1.0) <= DETERMINANT_TOL).all():
         raise NumericalFault("total propagator is not special unitary")
-    return total
+    return P
 
 
-def _horizon_propagators(values: np.ndarray, dt: float, basis: BasisSet) -> np.ndarray:
-    """Horizon propagators of a (..., size, Z) value stack, checked like propagate's."""
-    _, _, U = _segment_kernel(_hamiltonian_stack(values, basis), dt)
-    return _check_propagation(U)
+def _propagated(values: np.ndarray, dt: float, basis: BasisSet) -> tuple:
+    """(lam, V, P) for a (..., size, Z) value stack, checked like propagate's.
+
+    One kernel call: the segment eigenpairs lam, V (_segment_kernel) and the
+    prefix products P[..., z] = U_z ... U_1, whose last is the horizon
+    propagator. Everything the objective, the gradient, the tangent map and
+    the Hessian need of a grid is derived from these.
+    """
+    lam, V, U = _segment_kernel(_hamiltonian_stack(values, basis), dt)
+    return lam, V, _check_propagation(U)
 
 
 def propagate(grid: ControlGrid, basis: BasisSet) -> PropagationResult:

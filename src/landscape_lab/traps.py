@@ -12,17 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qdyn import BasisSet, ControlGrid, NumericalFault, _blocks, propagate
+from .qdyn import BasisSet, ControlGrid, NumericalFault, _blocks
 from .landscape import (
     ObjectiveRange,
     QuantumSystem,
     _active_entries,
     _at_bounds,
-    _gradient_stack,
-    _gradient_values,
-    _objective_stack,
-    gradient,
-    objective,
+    _evaluated,
+    _gradient_from,
+    _hessians,
     objective_range,
 )
 
@@ -75,10 +73,10 @@ ARMIJO = 1e-4
 ROOT_TOL = 1e-10
 MERGE_TOL = 1e-6
 
-# Trial steps of the ascent's halving ladder evaluated by one batched call.
+# Trial steps of the ascent's halving ladder evaluated per run and round.
 # A warm-started line search (see gradient_ascent) mostly accepts one of its
 # first 4 trial steps (80% of them on the corner-qubit census of 50 starts),
-# so a short chunk wastes few trial points.
+# so a short chunk wastes few trial points. It divides MAX_BACKTRACKS.
 LINE_SEARCH_CHUNK = 4
 
 # Length of the ascent's halving ladder: its shortest step is 2^-59 of the first.
@@ -87,10 +85,6 @@ MAX_BACKTRACKS = 60
 # A census run succeeds when its J is within this fraction of j_max - j_min
 # of j_max; a boundary maximum further below j_max is a trap.
 SUCCESS_MARGIN = 1e-4
-
-# Central-difference step of the free Hessian, as a fraction of kappa (of 1
-# for a zero bound).
-HESS_STEP = 1e-4
 
 
 def _objective_rounding(j_value: float) -> float:
@@ -139,19 +133,31 @@ class CriticalPointReport:
 
 @dataclass(frozen=True)
 class AscentTrace:
-    """Iterate history of one projected-ascent run; J is nondecreasing."""
+    """Iterate history of one projected-ascent run; J is nondecreasing.
+
+    stop_reason says why the run stopped: "grad" (the projected gradient
+    norm fell below tol_grad, or is exactly 0), "rounding" (no step can
+    raise J by more than its rounding), "line-search-stall" (no step of the
+    ladder passed) or "max-iters". The first two converge.
+    """
 
     iterates: tuple
-    converged: bool
+    stop_reason: str
     terminal: CriticalPointReport
 
     def __post_init__(self):
         if len(self.iterates) < 1:
             raise ValueError("trace must contain the starting point")
+        if self.stop_reason not in ("grad", "rounding", "line-search-stall", "max-iters"):
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
         js = [j for (_, j, _) in self.iterates]
         for a, b in zip(js, js[1:]):
             if b < a:
                 raise NumericalFault("objective decreased along the ascent trace")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("grad", "rounding")
 
     @property
     def iterations(self) -> int:
@@ -201,51 +207,13 @@ def _gradient_converged(pnorm: np.ndarray, tol_grad: float) -> np.ndarray:
 
 
 def _norms(pg: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each gradient in a stack, computed as for one grid."""
-    return np.array([np.linalg.norm(p) for p in pg])
-
-
-def _free_hessians(
-    system: QuantumSystem, values: np.ndarray, frees: list, step: float, dt: float,
-    basis: BasisSet,
-):
-    """Central differences of the analytic gradient on each grid's free coordinates.
-
-    values is an (R, size, Z) stack and frees[r] lists grid r's free flat
-    coordinates; probes may step outside the admissible box. The columns of
-    all grids form one stream, cut into blocks of at most about
-    BLOCK_SEGMENTS segment matrices; a block's + probes, then its - probes,
-    are one batched gradient. The raw (unsymmetrized) Hessians are yielded
-    in grid order, each as soon as its last column is in, so only the grids
-    that share a block hold one.
-    """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    sizes = [f.size for f in frees]
-    ends = np.cumsum(sizes)
-    total = int(ends[-1])
-    owner = np.repeat(np.arange(len(frees)), sizes)
-    local = np.arange(total) - np.repeat(ends - sizes, sizes)
-    column = np.concatenate(frees)
-    flat = values.reshape(len(values), -1)
-    held, r_next = {}, 0
-    for b in _blocks(total, 2 * values.shape[-1]) + [slice(total, total)]:
-        n = owner[b].size
-        if n:
-            probes = np.concatenate([flat[owner[b]]] * 2)
-            probes[np.arange(n), column[b]] += step
-            probes[np.arange(n, 2 * n), column[b]] -= step
-            g = _gradient_values(
-                system, probes.reshape((2 * n,) + values.shape[1:]), dt, basis
-            ).reshape(2 * n, -1)
-            diff = (g[:n] - g[n:]) / (2.0 * step)
-            for r in np.unique(owner[b]):
-                mine = owner[b] == r
-                H = held.setdefault(r, np.empty((sizes[r], sizes[r])))
-                H[:, local[b][mine]] = diff[mine][:, frees[r]].T
-        while r_next < len(frees) and ends[r_next] <= b.start + n:
-            yield held.pop(r_next, np.empty((0, 0)))
-            r_next += 1
+    """Frobenius norm of each gradient in a stack, with the rounding
+    np.linalg.norm gives one grid: a dot product of the grid's entries in
+    their memory order (a gradient is stored z-major)."""
+    if pg.strides[-1] > pg.strides[-2]:
+        pg = np.swapaxes(pg, -1, -2)
+    flat = pg.reshape(len(pg), -1)
+    return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(len(pg))
 
 
 def _eigenvalue_signs(eigs: np.ndarray) -> tuple:
@@ -278,34 +246,41 @@ def classify_point(
     success margin (SUCCESS_MARGIN x (j_max - j_min)), boundary-max
     otherwise. boundary-trap-min requires the active components all inert
     (<= tol_grad). Mixed boundary cases are labelled boundary-saddle. The
-    Hessian is central differences of the analytic gradient with step
-    HESS_STEP x kappa (HESS_STEP for kappa = 0).
+    Hessian is exact (landscape._hessians), and J, the gradient and the
+    Hessian all come from one kernel pass.
     """
-    j_value = objective(system, propagate(grid, basis).total)
-    g = gradient(system, grid, basis).values
-    return _classify(system, [grid], [j_value], [g], basis, tol_grad=tol_grad)[0]
+    J, lam, V, P = _evaluated(system, grid.values[None], grid.dt, basis)
+    g = _gradient_from(system, lam, V, P, grid.dt, basis)
+    return _classify(system, [grid], J, g, (lam, V, P), basis, tol_grad=tol_grad)[0]
 
 
 def _classify(
-    system: QuantumSystem, grids: list, js, gs, basis: BasisSet, *, tol_grad: float
+    system: QuantumSystem, grids: list, js, gs, eigen: tuple, basis: BasisSet, *,
+    tol_grad: float,
 ) -> list:
-    """classify_point at each of equally shaped grids, given J and the gradient there.
+    """classify_point at each of equally shaped grids, given J, the gradient
+    and the (lam, V, P) of _evaluated there.
 
-    The at-bound masks of all grids are taken once, and the free Hessians
-    come from one probe stream (_free_hessians); each is reduced to its
-    eigenvalues once complete.
+    The at-bound masks of all grids are taken once. The Hessians come from
+    one _hessians call per block of grids holding at most about
+    BLOCK_SEGMENTS tangent rows, so only one block's Hessians are held at a
+    time; each is reduced to its eigenvalues on the free coordinates.
     """
-    kappa = grids[0].kappa
+    kappa, dt = grids[0].kappa, grids[0].dt
     values = np.stack([grid.values for grid in grids])
     at_upper, at_lower = _at_bounds(values, kappa)
-    frees = [np.flatnonzero(~m) for m in (at_upper | at_lower).reshape(len(grids), -1)]
-    step = HESS_STEP * (kappa if kappa > 0.0 else 1.0)
-    hessians = _free_hessians(system, values, frees, step, grids[0].dt, basis)
+    free = ~(at_upper | at_lower).reshape(len(grids), -1)
     rng_range = objective_range(system)
-    return [
-        _report(grid, float(j), g, H, up, lo, tol_grad, _trapped(float(j), rng_range))
-        for grid, j, g, H, up, lo in zip(grids, js, gs, hessians, at_upper, at_lower)
-    ]
+    reports = []
+    for b in _blocks(len(grids), values[0].size):
+        hessians = _hessians(system, *(e[b] for e in eigen), dt, basis)
+        for r, H in zip(range(len(grids))[b], hessians):
+            f, j = np.flatnonzero(free[r]), float(js[r])
+            reports.append(_report(
+                grids[r], j, gs[r], H[np.ix_(f, f)], at_upper[r], at_lower[r], tol_grad,
+                _trapped(j, rng_range),
+            ))
+    return reports
 
 
 def _trapped(j_value: float, rng_range: ObjectiveRange) -> bool:
@@ -390,7 +365,7 @@ def gradient_ascent(
     precision and the run converges. It also converges when the projected
     gradient norm drops below tol_grad, the tolerance classify_point judges
     criticality by, or is exactly 0, and otherwise stops when max_iters is
-    reached.
+    reached. The trace's stop_reason says which of these ended the run.
     """
     return _lockstep_ascent(system, [start], basis, max_iters=max_iters, tol_grad=tol_grad)[0]
 
@@ -401,75 +376,80 @@ def _lockstep_ascent(
 ) -> list:
     """gradient_ascent from each of equally shaped starts, all in one loop.
 
-    Each run keeps the ladder rung it starts its next line search at
-    (gradient_ascent). Each iteration evaluates the next LINE_SEARCH_CHUNK
-    ladder steps of every run still searching as one batched objective
-    call, until every run has accepted a step or stopped, and then takes
-    the gradients of the runs that moved as one batched call. A run that
-    stops is masked out. Runs never mix, and the kernels give a grid the
-    same bits in any stack (checked for N = 2 and 3), so each run's
-    iterates are those it has alone.
+    Each round evaluates the next LINE_SEARCH_CHUNK ladder steps of every
+    run still searching as one batched _evaluated call. A run whose chunk
+    neither passes nor is cut goes on down its ladder in the next round,
+    so each run keeps its own iteration count. The gradients of the runs
+    that accepted a step are then one more batched call on the eigenpairs
+    and prefix products their step was evaluated with, and the terminal
+    Hessians reuse those of each run's last grid, so no grid is
+    diagonalized twice. Runs never mix, and the kernels give a grid the
+    same bits in any stack, so each run's iterates are those it has alone.
     """
     kappa, dt = starts[0].kappa, starts[0].dt
+    scale = kappa if kappa > 0.0 else 1.0
     vals = np.stack([start.values for start in starts])
-    J = _objective_stack(system, vals, dt, basis)
-    g = _gradient_stack(system, vals, dt, basis)
+    J, lam, V, P = _evaluated(system, vals, dt, basis)
+    g = _gradient_from(system, lam, V, P, dt, basis)
     pg = _project(g, *_at_bounds(vals, kappa))
     pnorm = _norms(pg)
     traces = [[(0, float(J[r]), float(pnorm[r]))] for r in range(len(starts))]
-    converged = _gradient_converged(pnorm, tol_grad)
-    running = ~converged
+    # Each run's stop reason, "" while it runs.
+    stop = np.full(len(starts), "", dtype=object)
+    stop[_gradient_converged(pnorm, tol_grad)] = "grad"
+    if max_iters <= 0:
+        stop[stop == ""] = "max-iters"
+    iters = np.zeros(len(starts), dtype=int)
+    # Run r's line search tries the steps s0 2^-(rung[r] + i), i from pos[r] on.
     rung = np.zeros(len(starts), dtype=int)
-    it = 0
-    while running.any() and it < max_iters:
-        runs = np.flatnonzero(running)
-        ladder = 0.5 ** (rung[runs, None] + np.arange(MAX_BACKTRACKS))
-        steps = (kappa if kappa > 0.0 else 1.0) / pnorm[runs, None] * ladder
-        moved = np.zeros(len(starts), dtype=bool)
-        for lo in range(0, MAX_BACKTRACKS, LINE_SEARCH_CHUNK):
-            if not runs.size:
-                break
-            v, gr = vals[runs, None], g[runs, None]
-            chunk = steps[:, lo : lo + LINE_SEARCH_CHUNK, None, None]
-            cands = np.clip(v + chunk * pg[runs, None], -kappa, kappa)
-            predicted = (gr * (cands - v)).reshape(cands.shape[:2] + (-1,)).sum(axis=2)
-            cut = predicted <= _objective_rounding(J[runs, None])
-            live = np.cumsum(cut, axis=1) == 0
-            passed = np.zeros_like(live)
-            Jc = np.zeros(live.shape)
-            if live.any():
-                Jc[live] = _objective_stack(system, cands[live], dt, basis)
-                threshold = J[runs, None] + ARMIJO * predicted
-                passed[live] = Jc[live] >= threshold[live]
-            k = passed.argmax(axis=1)
-            ok = passed.any(axis=1)
-            won = runs[ok]
-            vals[won] = cands[ok, k[ok]]
-            J[won] = Jc[ok, k[ok]]
-            rung[won] = np.maximum(rung[won] + lo + k[ok] - 1, 0)
-            moved[won] = True
-            ended = ~ok & cut.any(axis=1)
-            first_cut = cut.argmax(axis=1)
-            converged[runs[ended]] = predicted[ended, first_cut[ended]] > 0.0
-            keep = ~ok & ~ended
-            runs, steps = runs[keep], steps[keep]
-        running &= moved
-        won = np.flatnonzero(moved)
+    pos = np.zeros(len(starts), dtype=int)
+    while (stop == "").any():
+        runs = np.flatnonzero(stop == "")
+        ladder = 0.5 ** (rung[runs, None] + pos[runs, None] + np.arange(LINE_SEARCH_CHUNK))
+        steps = scale / pnorm[runs, None] * ladder
+        v, gr = vals[runs, None], g[runs, None]
+        cands = np.clip(v + steps[:, :, None, None] * pg[runs, None], -kappa, kappa)
+        predicted = (gr * (cands - v)).reshape(cands.shape[:2] + (-1,)).sum(axis=2)
+        cut = predicted <= _objective_rounding(J[runs, None])
+        live = np.cumsum(cut, axis=1) == 0
+        passed = np.zeros_like(live)
+        Jc = np.zeros(live.shape)
+        if live.any():
+            Jl, lam_l, V_l, P_l = _evaluated(system, cands[live], dt, basis)
+            Jc[live] = Jl
+            threshold = J[runs, None] + ARMIJO * predicted
+            passed[live] = Jc[live] >= threshold[live]
+        k = passed.argmax(axis=1)
+        ok = passed.any(axis=1)
+        won = runs[ok]
+        first_cut = cut.argmax(axis=1)
+        ended = ~ok & cut.any(axis=1)
+        gain = predicted[ended, first_cut[ended]] > 0.0
+        stop[runs[ended]] = np.where(gain, "rounding", "line-search-stall")
+        going = runs[~ok & ~ended]
+        pos[going] += LINE_SEARCH_CHUNK
+        stop[going[pos[going] >= MAX_BACKTRACKS]] = "line-search-stall"
         if not won.size:
-            break
-        it += 1
-        g[won] = _gradient_stack(system, vals[won], dt, basis)
+            continue
+        sel = (np.cumsum(live) - 1).reshape(live.shape)[ok, k[ok]]
+        vals[won] = cands[ok, k[ok]]
+        J[won] = Jc[ok, k[ok]]
+        lam[won], V[won], P[won] = lam_l[sel], V_l[sel], P_l[sel]
+        rung[won] = np.maximum(rung[won] + pos[won] + k[ok] - 1, 0)
+        pos[won] = 0
+        iters[won] += 1
+        g[won] = _gradient_from(system, lam[won], V[won], P[won], dt, basis)
         pg[won] = _project(g[won], *_at_bounds(vals[won], kappa))
         pnorm[won] = _norms(pg[won])
-        converged[won] = _gradient_converged(pnorm[won], tol_grad)
-        running[won] = ~converged[won]
         for r in won:
-            traces[r].append((it, float(J[r]), float(pnorm[r])))
+            traces[r].append((int(iters[r]), float(J[r]), float(pnorm[r])))
+        stop[won[iters[won] >= max_iters]] = "max-iters"
+        stop[won[_gradient_converged(pnorm[won], tol_grad)]] = "grad"
     grids = [start.with_values(v) for start, v in zip(starts, vals)]
-    reports = _classify(system, grids, J, g, basis, tol_grad=tol_grad)
+    reports = _classify(system, grids, J, g, (lam, V, P), basis, tol_grad=tol_grad)
     return [
-        AscentTrace(tuple(trace), bool(done), report)
-        for trace, done, report in zip(traces, converged, reports)
+        AscentTrace(tuple(trace), str(why), report)
+        for trace, why, report in zip(traces, stop, reports)
     ]
 
 

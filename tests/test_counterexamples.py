@@ -13,6 +13,7 @@ from landscape_lab import (
     boundary_trap_instance,
     build_su_basis,
     corner_escape_analysis,
+    gradient,
     kappa_threshold,
     objective,
     propagate,
@@ -114,6 +115,22 @@ class TestTrapVerification:
             1.185447061057284, abs=1e-9
         )
         assert v.trap_order == 1
+
+    def test_kkt_margin_is_the_least_outward_component(self):
+        # Every control of the corner is at +kappa, so the outward
+        # components are the gradient's entries, all positive: a strict
+        # constrained maximum by first order alone.
+        inst = reference_instance()
+        v = verify_boundary_trap(inst, 100, 1e-3 * KAPPA, 42)
+        g = gradient(inst.system, inst.grid, BASIS2).values
+        assert v.kkt_margin == float(np.min(g)) > 0.0
+        assert v.kkt_margin == pytest.approx(0.037632, abs=5e-7)
+        # At -kappa the outward component is -dJ/d eps; an interior grid has none.
+        flipped = ControlGrid.constant(1.0, KAPPA, 3, 4, -KAPPA)
+        w = corner_escape_analysis(inst.system, flipped, BASIS2, 10, 1e-3 * KAPPA, 1)
+        assert w.kkt_margin == float(np.min(-gradient(inst.system, flipped, BASIS2).values))
+        inner = ControlGrid.constant(1.0, KAPPA, 3, 4, 0.5)
+        assert corner_escape_analysis(inst.system, inner, BASIS2, 10, 1e-3, 1).kkt_margin is None
 
     def test_inward_gain_shrinks_with_radius(self):
         inst = reference_instance()

@@ -19,7 +19,13 @@ from landscape_lab import (
     propagate,
     psi_tangent_map,
 )
-from landscape_lab.qdyn import _divided_differences, _hamiltonian_stack, _segment_kernel
+from landscape_lab.landscape import _gradient_from
+from landscape_lab.qdyn import (
+    _divided_differences,
+    _hamiltonian_stack,
+    _propagated,
+    _segment_kernel,
+)
 
 BASIS2 = build_su_basis(2)
 SIGMA_X, SIGMA_Y, SIGMA_Z = BASIS2.elements
@@ -301,6 +307,26 @@ class TestBatchedKernelAgainstLoop:
                 np.testing.assert_allclose(dU, dunits[z][j], atol=1e-13)
         np.testing.assert_allclose(gradient(system, grid, basis).values, grad, atol=1e-13)
         np.testing.assert_allclose(psi_tangent_map(grid, basis).rows, rows, atol=1e-13)
+
+
+class TestStackInvariance:
+    @pytest.mark.parametrize("N", [3, 4, 8])
+    def test_a_grids_gradient_is_the_same_alone_and_in_any_stack(self, N):
+        # A BLAS product over all rows would round with the row count.
+        basis = build_su_basis(N)
+        rng = np.random.default_rng(N)
+        system = random_system(N, rng)
+        stack = rng.uniform(-1.0, 1.0, (3000, basis.size, 2))
+
+        def gradients(values):
+            lam, V, P = _propagated(values, 0.5, basis)
+            return _gradient_from(system, lam, V, P, 0.5, basis)
+
+        big, seven = gradients(stack), gradients(stack[:7])
+        for k in range(7):
+            alone = gradient(system, ControlGrid(1.0, 1.0, stack[k]), basis).values
+            np.testing.assert_array_equal(seven[k], alone)
+            np.testing.assert_array_equal(big[k], alone)
 
 
 class TestLocalSurjectivityRank:

@@ -16,7 +16,8 @@ from landscape_lab.qdyn import (
     _check_propagation,
     _divided_differences,
     _hamiltonian_stack,
-    _horizon_propagators,
+    _propagated,
+    _second_divided_differences,
     _segment_kernel,
 )
 
@@ -270,6 +271,47 @@ class TestDividedDifferences:
         np.testing.assert_array_equal(K, K.transpose(0, 2, 1))
 
 
+def mpmath_second_divided_difference(x, y, w, dt):
+    """f[x, y, w] of f(x) = exp(-i x dt) at 50 digits, ties by their limits."""
+    with mpmath.workdps(50):
+        a, b, c = sorted(mpmath.mpf(float(v)) for v in (x, y, w))
+        s = mpmath.mpc(0, -dt)
+
+        def first(u, v):
+            return s * mpmath.exp(s * u) if u == v else (mpmath.exp(s * u) - mpmath.exp(s * v)) / (u - v)
+
+        if a == c:
+            return complex(s * s * mpmath.exp(s * a) / 2)
+        return complex((first(a, b) - first(b, c)) / (a - c))
+
+
+class TestSecondDividedDifferences:
+    @pytest.mark.parametrize("gap", [10.0**k for k in range(-12, 0)])
+    @pytest.mark.parametrize("dt", [1.0, 0.25])
+    def test_near_degenerate_matches_mpmath(self, gap, dt):
+        # dt times the largest gap from 1e-1 down to 1e-12: the quotient
+        # branch above 1e-2, the series branch at and below it. Observed:
+        # at most 6e-14 relative, next to the branch point.
+        lam = np.array([[0.7, 0.7 + gap / (3.0 * dt), 0.7 + gap / dt, -1.3]])
+        F = _second_divided_differences(lam, dt)[0]
+        for p, q, r in np.ndindex(F.shape):
+            ref = mpmath_second_divided_difference(lam[0, p], lam[0, q], lam[0, r], dt)
+            assert abs(F[p, q, r] - ref) <= 1e-13 * abs(ref)
+
+    def test_exact_ties_match_mpmath(self):
+        lam = np.array([[-1.3, 0.7, 0.7, 0.7, 2.1], [0.0, 0.0, 0.0, 0.0, 0.0]])
+        F = _second_divided_differences(lam, 0.6)
+        for z, p, q, r in np.ndindex(F.shape):
+            ref = mpmath_second_divided_difference(lam[z, p], lam[z, q], lam[z, r], 0.6)
+            assert abs(F[z, p, q, r] - ref) <= 1e-15 * abs(ref)
+
+    def test_table_is_symmetric(self):
+        lam = np.array([[-0.4, 0.1, 0.1 + 1e-12, 2.0]])
+        F = _second_divided_differences(lam, 0.6)[0]
+        for axes in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+            np.testing.assert_array_equal(F, F.transpose(axes))
+
+
 class TestPropagate:
     def test_zero_grid_identity(self):
         grid = ControlGrid.zeros(1.0, 1.0, 3, 4)
@@ -358,7 +400,7 @@ class TestPropagate:
     def test_total_is_the_batched_horizon_propagator(self):
         basis = build_su_basis(3)
         grid = ControlGrid.uniform_random(1.3, 1.1, basis.size, 7, np.random.default_rng(5))
-        batched = _horizon_propagators(grid.values[None], grid.dt, basis)[0]
+        batched = _propagated(grid.values[None], grid.dt, basis)[2][0, -1]
         assert np.array_equal(propagate(grid, basis).total, batched)
 
 

@@ -60,10 +60,19 @@ def random_instance(seed):
     return system, grid
 
 
-def finite_difference_hessian(system, grid, basis, free_indices, step):
-    """The raw central-difference Hessian on one grid's free coordinates."""
-    free = np.asarray(free_indices, dtype=int)
-    return next(traps._free_hessians(system, grid.values[None], [free], step, grid.dt, basis))
+def exact_hessian(system, grid, basis):
+    """The exact Hessian on all of one grid's coordinates, unsymmetrized."""
+    lam, V, P = qdyn._propagated(grid.values[None], grid.dt, basis)
+    return landscape._hessians(system, lam, V, P, grid.dt, basis)[0]
+
+
+def random_system(N, seed):
+    """A pure state and a random Hermitian observable on N levels."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    psi /= np.linalg.norm(psi)
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    return QuantumSystem(N, np.outer(psi, psi.conj()), (X + X.conj().T) / 2.0)
 
 
 def parameters(fn):
@@ -94,7 +103,8 @@ class TestSettings:
             ["system", "grid", "basis"], {"tol_grad": 1e-8}
         )
         assert parameters(traps._classify) == (
-            ["system", "grids", "js", "gs", "basis"], {"tol_grad": inspect.Parameter.empty}
+            ["system", "grids", "js", "gs", "eigen", "basis"],
+            {"tol_grad": inspect.Parameter.empty},
         )
         assert parameters(critical_value_census_1d) == (
             ["f", "f_prime", "domain", "grid_points"],
@@ -136,23 +146,11 @@ class TestSettings:
             (traps, "AscentSettings"),
             (landscape, "DEFAULT_ACTIVE_TOL"),
             (landscape, "DEFAULT_RANK_TOL"),
+            (traps, "HESS_STEP"),
+            (traps, "_free_hessians"),
+            (landscape, "_gradient_stack"),
         ]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
-
-    def test_hess_step_resolution(self, monkeypatch):
-        # The Hessian step is 1e-4 kappa, and 1e-4 for a zero bound.
-        steps = []
-        real = traps._free_hessians
-
-        def spy(system, values, frees, step, dt, basis):
-            steps.append(step)
-            return real(system, values, frees, step, dt, basis)
-
-        monkeypatch.setattr(traps, "_free_hessians", spy)
-        system = random_instance(3)[0]
-        for kappa in (2.0, 0.0):
-            classify_point(system, ControlGrid.zeros(1.0, kappa, 3, 4), BASIS2)
-        assert steps == [2e-4, 1e-4]
 
     def test_success_margin_resolution(self):
         # A census's success margin is 1e-4 (j_max - j_min).
@@ -273,26 +271,56 @@ class TestClassifyPoint:
 
 class TestHessian:
     def test_near_symmetric_on_smooth_instance(self):
-        system, grid = random_instance(3)
-        H = finite_difference_hessian(system, grid, BASIS2, list(range(12)), 1.5e-4)
-        assert np.max(np.abs(H - H.T)) < 1e-5
+        # Exactly symmetric but for the rounding of the traces over all
+        # pairs; checked before _report symmetrizes.
+        cases = [(random_instance(3)[0], BASIS2, 4)] + [
+            (random_system(N, N), build_su_basis(N), Z) for N, Z in ((3, 5), (4, 6), (8, 20))
+        ]
+        for system, basis, Z in cases:
+            grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, Z, np.random.default_rng(Z))
+            H = exact_hessian(system, grid, basis)
+            assert np.max(np.abs(H - H.T)) <= 1e-15
 
-    def test_rejects_bad_step(self):
-        system, grid = random_instance(3)
-        with pytest.raises(ValueError):
-            finite_difference_hessian(system, grid, BASIS2, [0], 0.0)
+    @pytest.mark.parametrize("N,Z,stride", [(2, 4, 1), (3, 5, 1), (4, 6, 1), (8, 20, 9)])
+    def test_matches_central_differences(self, N, Z, stride):
+        # At N = 8, Z = 20 every 9th column: 140 of the 1260.
+        basis = build_su_basis(N)
+        system = random_instance(5)[0] if N == 2 else random_system(N, N)
+        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, Z, np.random.default_rng(N + Z))
+        cols = list(range(0, basis.size * Z, stride))
+        want = column_loop_hessian(system, grid, basis, list(range(basis.size * Z)), 1e-4, cols)
+        got = exact_hessian(system, grid, basis)[:, cols]
+        assert np.max(np.abs(got - want)) <= 4e-10
+
+    def test_degenerate_segments_match_central_differences(self):
+        # Zero and diagonal segments have repeated eigenvalues, so the
+        # second divided differences take their series branch.
+        basis = build_su_basis(3)
+        grid = ControlGrid.uniform_random(1.0, 1.0, 8, 5, np.random.default_rng(4))
+        v = np.array(grid.values)
+        v[:, 1] = 0.0
+        v[:7, 3] = 0.0
+        grid = grid.with_values(v)
+        system = random_system(3, 3)
+        want = column_loop_hessian(system, grid, basis, list(range(40)), 1e-4)
+        assert np.max(np.abs(exact_hessian(system, grid, basis) - want)) <= 4e-10
 
 
 class TestAscentTrace:
     def test_rejects_decreasing_objective(self):
         rep = classify_point(corner_system(), corner_grid(), BASIS2)
         with pytest.raises(NumericalFault):
-            AscentTrace(((0, 1.0, 0.1), (1, 0.5, 0.0)), True, rep)
+            AscentTrace(((0, 1.0, 0.1), (1, 0.5, 0.0)), "grad", rep)
 
     def test_rejects_empty_trace(self):
         rep = classify_point(corner_system(), corner_grid(), BASIS2)
         with pytest.raises(ValueError):
-            AscentTrace((), True, rep)
+            AscentTrace((), "grad", rep)
+
+    def test_rejects_unknown_stop_reason(self):
+        rep = classify_point(corner_system(), corner_grid(), BASIS2)
+        with pytest.raises(ValueError, match="stop reason"):
+            AscentTrace(((0, 1.0, 0.0),), "tired", rep)
 
 
 class TestGradientAscent:
@@ -575,17 +603,17 @@ class TestChunkedLineSearch:
 def nan_trial_totals(monkeypatch):
     """Make the last horizon propagator NaN in every batched propagation but
     the first, which in an ascent or a census propagates the starts."""
-    real = landscape._horizon_propagators
+    real = landscape._propagated
     calls = []
 
     def totals(values, dt, basis):
-        U = real(values, dt, basis)
-        calls.append(len(U))
+        lam, V, P = real(values, dt, basis)
+        calls.append(len(P))
         if len(calls) > 1:
-            U[-1] = np.nan
-        return U
+            P[-1, -1] = np.nan
+        return lam, V, P
 
-    monkeypatch.setattr(landscape, "_horizon_propagators", totals)
+    monkeypatch.setattr(landscape, "_propagated", totals)
 
 
 CENSUS_OF_10 = BasinSampler(count=10, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
@@ -648,14 +676,16 @@ def assert_run_matches_alone(system, start, basis, trace, max_iters=MAX_ITERS):
 class TestLockstepCensus:
     @pytest.mark.parametrize(
         "N,kappa,count",
-        [(2, KAPPA, 40), (3, 0.2, 5), (3, 0.4, 5)],
+        [(2, KAPPA, 40), (3, 0.2, 5), (3, 0.4, 5), (4, 0.5, 5)],
     )
     def test_every_run_matches_its_ascent_alone(self, monkeypatch, N, kappa, count):
-        # The corner qubit's census starts 0-39, and the qutrit of
-        # TestChunkedLineSearch, whose runs take 15 to 85 iterations.
+        # The corner qubit's census starts 0-39, the qutrit of
+        # TestChunkedLineSearch, whose runs take 15 to 85 iterations, and a
+        # random ququart, whose runs end inside the box and on it. Every
+        # comparison is exact, the Hessian eigenvalues included.
         basis = build_su_basis(N)
-        system = corner_system() if N == 2 else random_qutrit_system()
-        Z = 4 if N == 2 else 5
+        system = {2: corner_system, 3: random_qutrit_system}.get(N, lambda: random_system(4, 4))()
+        Z = 5 if N == 3 else 4
         sampler = BasinSampler(count=count, seed=0, kappa=kappa, segments=Z, horizon=1.0)
         res, traces = census_traces(monkeypatch, system, basis, sampler)
         assert len(traces) == count
@@ -685,47 +715,77 @@ class TestLockstepCensus:
             for seed in range(3)
         ]
         traces = traps._lockstep_ascent(system, starts, BASIS2, max_iters=3)
-        stops = [(t.iterations, t.converged) for t in traces]
-        assert stops == [(0, True), (0, True), (2, True)] + [(3, False)] * 3
+        stops = [(t.iterations, t.converged, t.stop_reason) for t in traces]
+        assert stops == [(0, True, "grad"), (0, True, "rounding"), (2, True, "rounding")] + [
+            (3, False, "max-iters")
+        ] * 3
+        assert full.stop_reason == "rounding"
         assert traces[0].terminal.grad_norm_projected == 0.0
         assert traces[1].terminal.grad_norm_projected >= GRAD_TOL
         for start, trace in zip(starts, traces):
             assert_run_matches_alone(system, start, BASIS2, trace, max_iters=3)
 
-    def test_gradient_calls_are_batched_across_runs(self, monkeypatch):
-        # Start and step gradients go through landscape's _gradient_values,
-        # the Hessian probes through the name traps binds.
-        steps, probes = [], []
-        for module, calls in ((landscape, steps), (traps, probes)):
-            def spy(*args, real=module._gradient_values, calls=calls):
-                calls.append(len(args[1]))
-                return real(*args)
+    def test_a_ladder_that_never_passes_stalls(self, monkeypatch):
+        # No step can pass the Armijo test, and with no rounding allowance
+        # the ladder is cut only where a step no longer moves the grid.
+        monkeypatch.setattr(traps, "ARMIJO", 1e300)
+        monkeypatch.setattr(traps, "OBJECTIVE_ROUNDING_ULPS", 0.0)
+        starts = [
+            ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(seed))
+            for seed in range(2)
+        ]
+        traces = traps._lockstep_ascent(corner_system(), starts + [corner_grid()], BASIS2)
+        assert [(t.iterations, t.stop_reason) for t in traces] == [
+            (0, "line-search-stall"), (0, "line-search-stall"), (0, "grad")
+        ]
+        assert not traces[0].converged
 
-            monkeypatch.setattr(module, "_gradient_values", spy)
+    def test_gradient_calls_are_batched_across_runs(self, monkeypatch):
+        # One propagation for the starts and one per round; one gradient for
+        # the starts and one per round in which a run accepted a step, on
+        # the eigenpairs that round computed. Each accepted step takes one
+        # gradient, so the batches hold every run that moved.
+        kernel, batches = trial_grid_counts(monkeypatch), []
+
+        def spy(system, lam, *args, real=traps._gradient_from):
+            batches.append(len(lam))
+            return real(system, lam, *args)
+
+        monkeypatch.setattr(traps, "_gradient_from", spy)
         res = basin_census(corner_system(), BASIS2, CENSUS_OF_10)
-        longest = max(run.iterations for run in res.runs)
-        assert len(steps) <= longest + 2
-        assert steps[0] == 10
-        assert len(probes) == 1  # every run's probes fit in one block
+        assert len(kernel) == 22 and sum(kernel) * 4 == 2764
+        assert len(batches) == 21
+        assert batches[0] == 10
+        assert sum(batches[1:]) == sum(run.iterations for run in res.runs) == 140
 
     def test_classification_reuses_the_last_objective_and_gradient(self, monkeypatch):
-        # classify_point would evaluate J and the gradient again.
-        for name in ("classify_point", "propagate", "objective", "gradient"):
-            monkeypatch.setattr(traps, name, None)
+        # classify_point would evaluate J, the gradient and the eigenpairs
+        # again: every kernel call is a start or line-search propagation.
+        monkeypatch.setattr(traps, "classify_point", None)
+        kernel = []
+        real = qdyn._segment_kernel
+
+        def spy(H, dt):
+            kernel.append(len(H))
+            return real(H, dt)
+
+        monkeypatch.setattr(qdyn, "_segment_kernel", spy)
+        evaluated = trial_grid_counts(monkeypatch)
         res = basin_census(corner_system(), BASIS2, CENSUS_OF_10)
         assert all(run.classification in CLASSIFICATIONS for run in res.runs)
+        assert kernel == evaluated
 
 
 def trial_grid_counts(monkeypatch):
     """The number of grids in each batched propagation from here on."""
     calls = []
-    real = landscape._horizon_propagators
+    real = landscape._propagated
 
     def spy(values, dt, basis):
         calls.append(len(values))
         return real(values, dt, basis)
 
-    monkeypatch.setattr(landscape, "_horizon_propagators", spy)
+    monkeypatch.setattr(landscape, "_propagated", spy)
     return calls
 
 
@@ -792,11 +852,14 @@ class TestWarmLadder:
         assert sum(calls[1:]) <= 6 * iterations
 
 
-def column_loop_hessian(system, grid, basis, free, step):
-    """One pair of gradient calls per free column: the blocked Hessian's reference."""
+def column_loop_hessian(system, grid, basis, free, step, columns=None):
+    """Central differences of the analytic gradient on the free coordinates,
+    one pair of gradient calls per column (all free columns by default):
+    the exact Hessian's cross-check."""
     flat = grid.values.ravel()
-    H = np.empty((len(free), len(free)))
-    for col, idx in enumerate(free):
+    columns = free if columns is None else columns
+    H = np.empty((len(free), len(columns)))
+    for col, idx in enumerate(columns):
         g = []
         for sign in (1.0, -1.0):
             v = flat.copy()
@@ -809,29 +872,56 @@ def column_loop_hessian(system, grid, basis, free, step):
 
 
 class TestBlockedHessian:
+    """The exact Hessians of many grids, taken in blocks of at most about
+    BLOCK_SEGMENTS tangent rows."""
+
+    @staticmethod
+    def free_hessians(monkeypatch, system, grids, basis):
+        """traps._classify's reports at the grids and the free Hessians it
+        passed to _report, one per grid."""
+        held = []
+
+        def spy(grid, j, g, H, *args, real=traps._report):
+            held.append(H)
+            return real(grid, j, g, H, *args)
+
+        monkeypatch.setattr(traps, "_report", spy)
+        values = np.stack([grid.values for grid in grids])
+        J, lam, V, P = landscape._evaluated(system, values, grids[0].dt, basis)
+        g = landscape._gradient_from(system, lam, V, P, grids[0].dt, basis)
+        reports = traps._classify(system, grids, J, g, (lam, V, P), basis, tol_grad=GRAD_TOL)
+        return reports, held
+
     @pytest.mark.parametrize(
         "N,Z,free,block",
         [
             (2, 4, list(range(12)), None),
-            (2, 4, [0, 2, 3, 5, 7, 8, 11], 40),  # 5 columns a block: blocks 5 and 2
-            (2, 4, [1, 4, 6], 3),  # a column alone is over the bound
+            (2, 4, [0, 2, 3, 5, 7, 8, 11], 40),  # 3 grids a block: blocks 3 and 2
+            (2, 4, [1, 4, 6], 3),  # a grid alone is over the bound
             (3, 7, list(range(0, 56, 3)), None),
         ],
     )
     def test_matches_column_loop(self, monkeypatch, N, Z, free, block):
+        # The controls left out of `free` sit at alternating bounds.
         rng = np.random.default_rng(10 * N + Z)
         basis = build_su_basis(N)
         system = random_qutrit_system() if N == 3 else random_instance(5)[0]
-        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, Z, rng)
+        v = rng.uniform(-1.0, 1.0, (basis.size, Z))
+        clamped = np.setdiff1d(np.arange(v.size), free)
+        v.flat[clamped] = (-1.0) ** np.arange(clamped.size)
+        grid = ControlGrid(1.0, 1.0, v)
         if block is not None:
             monkeypatch.setattr(qdyn, "BLOCK_SEGMENTS", block)
-        H = finite_difference_hessian(system, grid, basis, free, 1e-4)
+        _, held = self.free_hessians(monkeypatch, system, [grid] * 5, basis)
         want = column_loop_hessian(system, grid, basis, free, 1e-4)
-        assert np.max(np.abs(H - want)) <= 1e-12
+        for H in held:
+            np.testing.assert_array_equal(H, held[0])
+        assert np.max(np.abs(held[0] - want)) <= 4e-10
 
-    def test_probe_stream_across_grids_matches_one_grid_at_a_time(self, monkeypatch):
-        # 5 columns a block, so blocks straddle grids; the corner has no free
-        # column and the third grid has 5 controls at a bound.
+    def test_blocks_across_grids_match_one_grid_at_a_time(self, monkeypatch):
+        # 3 grids a block, so a block holds grids of different free sets;
+        # the corner has no free column and the third grid has 5 controls
+        # at a bound.
         monkeypatch.setattr(qdyn, "BLOCK_SEGMENTS", 40)
         system = corner_system()
         grids = [
@@ -841,31 +931,29 @@ class TestBlockedHessian:
         clamped = np.array(grids[2].values)
         clamped.flat[[0, 3, 4, 8, 11]] = [KAPPA, -KAPPA, KAPPA, KAPPA, -KAPPA]
         grids[1], grids[2] = corner_grid(), grids[2].with_values(clamped)
-        values = np.stack([grid.values for grid in grids])
-        at_upper, at_lower = traps._at_bounds(values, KAPPA)
-        frees = [np.flatnonzero(~m) for m in (at_upper | at_lower).reshape(4, -1)]
-        assert [f.size for f in frees] == [12, 0, 7, 12]
-        hessians = traps._free_hessians(system, values, frees, 1e-4, 0.25, BASIS2)
-        for grid, free, H in zip(grids, frees, hessians):
-            np.testing.assert_array_equal(
-                H, finite_difference_hessian(system, grid, BASIS2, free, 1e-4)
-            )
-            want = column_loop_hessian(system, grid, BASIS2, free, 1e-4)
-            assert np.max(np.abs(H - want), initial=0.0) <= 1e-12
+        sizes = []
 
-    def test_non_finite_probe_gradient_is_rejected(self, monkeypatch):
-        real = landscape._segment_kernel
+        def spy(system, lam, *args, real=landscape._hessians):
+            sizes.append(len(lam))
+            return real(system, lam, *args)
 
-        def kernel(H, dt):
-            lam, V, U = real(H, dt)
-            return lam, V, np.full_like(U, np.nan)
-
-        monkeypatch.setattr(landscape, "_segment_kernel", kernel)
-        grid = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="gradient entries must be finite"):
-            finite_difference_hessian(corner_system(), grid, BASIS2, [0, 5], 1e-4)
+        monkeypatch.setattr(traps, "_hessians", spy)
+        reports, held = self.free_hessians(monkeypatch, system, grids, BASIS2)
+        assert sizes == [3, 1]
+        assert [len(H) for H in held] == [12, 0, 7, 12]
+        for grid, report, H in zip(grids, reports, held):
+            alone = classify_point(system, grid, BASIS2)
+            assert report.classification == alone.classification
+            assert report.hessian_eigenvalues == alone.hessian_eigenvalues
+            assert report.tol_grad == alone.tol_grad
+            if H.size:
+                free = [k for k in range(12) if abs(grid.values.flat[k]) < KAPPA]
+                want = column_loop_hessian(system, grid, BASIS2, free, 1e-4)
+                assert np.max(np.abs(H - want)) <= 4e-10
 
     def test_classify_point_kernel_calls_stay_within_the_block(self, monkeypatch):
+        # J, the gradient and the Hessian come from one kernel call on the
+        # grid's own segments.
         sizes = []
         real = qdyn._segment_kernel
 
@@ -874,9 +962,28 @@ class TestBlockedHessian:
             return real(H, dt)
 
         monkeypatch.setattr(qdyn, "_segment_kernel", spy)
-        monkeypatch.setattr(landscape, "_segment_kernel", spy)
         basis = build_su_basis(3)
         grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, 50, np.random.default_rng(1))
         classify_point(random_qutrit_system(), grid, basis)
-        assert max(sizes) <= qdyn.BLOCK_SEGMENTS
-        assert max(sizes) > grid.segments  # the probes do run batched
+        assert sizes == [grid.segments]
+
+    def test_census_hessians_hold_at_most_a_block_of_tangent_rows(self, monkeypatch):
+        # With a block of 40 matrices, 3 runs of 12 tangent rows a block;
+        # the census is bitwise the one with the default block.
+        sampler = BasinSampler(count=10, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+        _, want = census_traces(monkeypatch, corner_system(), BASIS2, sampler)
+        monkeypatch.setattr(qdyn, "BLOCK_SEGMENTS", 40)
+        rows = []
+
+        def spy(system, lam, *args, real=landscape._hessians):
+            H = real(system, lam, *args)
+            rows.append(H.shape[0] * H.shape[1])
+            return H
+
+        monkeypatch.setattr(traps, "_hessians", spy)
+        _, got = census_traces(monkeypatch, corner_system(), BASIS2, sampler)
+        assert rows == [36, 36, 36, 12]
+        for a, b in zip(got, want):
+            assert a.iterates == b.iterates and a.stop_reason == b.stop_reason
+            assert a.terminal.hessian_eigenvalues == b.terminal.hessian_eigenvalues
+            assert a.terminal.classification == b.terminal.classification
