@@ -53,7 +53,7 @@ CONE_RESIDUAL_TOL = 1e-8
 
 # scipy.optimize.linprog, bound on first use by boundary_cone_surjectivity:
 # importing scipy.optimize takes most of the package's import time, and only
-# the cone test needs it.
+# the cone test's last resort, its quotient LP, needs it.
 linprog = None
 
 
@@ -399,13 +399,17 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     return TangentMap(rows / np.sqrt(2.0))
 
 
+def _numerical_rank(s: np.ndarray) -> int:
+    """The number of singular values s (in decreasing order) above RANK_TOL x
+    the largest; 0 when there are none or the largest is 0."""
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.sum(s > RANK_TOL * s[0]))
+
+
 def local_surjectivity_rank(tm: TangentMap) -> tuple:
     """(rank, surjective): singular values above RANK_TOL x largest, vs N^2 - 1."""
-    s = np.linalg.svd(tm.rows, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank = _numerical_rank(np.linalg.svd(tm.rows, compute_uv=False))
     return rank, rank == tm.rows.shape[1]
 
 
@@ -435,46 +439,63 @@ def active_set(grid: ControlGrid) -> list:
     return _active_entries(*_at_bounds(grid.values, grid.kappa))
 
 
-def _variation_bounds(grid: ControlGrid) -> list:
-    """Per-control (lower, upper) bounds on admissible one-sided variations.
-
-    None marks an unbounded side, in the layout linprog takes.
-    """
-    at_upper, at_lower = _at_bounds(grid.values, grid.kappa)
-    return [
-        (0.0 if lo else None, 0.0 if up else None)
-        for lo, up in zip(at_lower.ravel().tolist(), at_upper.ravel().tolist())
-    ]
-
-
 def boundary_cone_surjectivity(grid: ControlGrid, tm: TangentMap) -> tuple:
     """(surjective, witness): can admissible variations reach all of su(N)?
 
-    Variations are constrained one-sidedly at active bounds (<= 0 at +kappa,
-    >= 0 at -kappa, free otherwise), so their image {M^T d} is a convex cone.
-    A convex cone is all of su(N) exactly when it holds every +-e_k. Each
-    target gets one feasibility LP, M^T d = target under the bounds, in the
-    order +e_1 .. +e_n, -e_1 .. -e_n; the first infeasible target is
-    returned as the witness. A feasible answer must reproduce its target to
-    CONE_RESIDUAL_TOL, and any solver status other than optimal or
-    infeasible raises NumericalFault.
+    Variations are one-sided at an active bound (<= 0 at +kappa, >= 0 at
+    -kappa; at kappa = 0 a control cannot move) and free otherwise. With F
+    the tangent rows of the free controls and G_k = s_k R_k the rows of
+    those at a bound, signed s = +1 at +kappa and -1 at -kappa, their image
+    is the convex cone span(F) + cone{-G_k}. It is decided, with no sampling:
+
+    1. rank F = n (as local_surjectivity_rank counts it): surjective. With
+       no bound rows and rank F < n, the witness is a unit vector normal to
+       span(F).
+    2. Let Q span span(F)^perp, w solve (G Q^T) w = 1 in least squares with
+       least norm, and w_hat = Q^T w / |w|. If min_k G_k . w_hat exceeds
+       CONE_RESIDUAL_TOL x max_k |G_k|, every image v has w_hat . v <= 0, so
+       the unit vector w_hat is outside the cone and is the witness.
+    3. Otherwise one HiGHS feasibility LP per target +e_1 .. +e_m, -e_1 ..
+       -e_m of Q's coordinates; the first infeasible one, lifted back by
+       Q^T, is the witness. A feasible answer must reproduce its target to
+       CONE_RESIDUAL_TOL, and any other solver status raises NumericalFault.
     """
     if tm.rows.shape[0] != grid.num_controls * grid.segments:
         raise ValueError(
             f"tangent map has {tm.rows.shape[0]} rows, grid has "
             f"{grid.num_controls * grid.segments} controls"
         )
+    R = tm.rows
+    n = R.shape[1]
+    at_upper, at_lower = (m.ravel() for m in _at_bounds(grid.values, grid.kappa))
+    F = R[~(at_upper | at_lower)]
+    G = np.concatenate([R[at_upper & ~at_lower], -R[at_lower & ~at_upper]])
+    # Full V^T only when F has fewer rows than columns, so a tall F costs no
+    # square U.
+    _, s, vt = np.linalg.svd(F, full_matrices=len(F) < n)
+    rank = _numerical_rank(s)
+    if rank == n:
+        return True, None
+    Q = vt[rank:]  # orthonormal rows spanning span(F)^perp
+    if len(G) == 0:
+        return False, Q[0]
+    Gq = G @ Q.T
+    w = np.linalg.lstsq(Gq, np.ones(len(G)), rcond=None)[0]
+    size = np.linalg.norm(w)
+    if size > 0.0:
+        margin = np.min(Gq @ w) / size
+        if margin > CONE_RESIDUAL_TOL * np.max(np.linalg.norm(G, axis=1)):
+            return False, Q.T @ (w / size)
     global linprog
     if linprog is None:
         from scipy.optimize import linprog
-    A = tm.rows.T
-    n = A.shape[0]
-    bounds = _variation_bounds(grid)
+    A = -Gq.T
+    m = A.shape[0]
     cost = np.zeros(A.shape[1])
-    for target in np.concatenate([np.eye(n), -np.eye(n)]):
-        fit = linprog(cost, A_eq=A, b_eq=target, bounds=bounds, method="highs")
+    for target in np.concatenate([np.eye(m), -np.eye(m)]):
+        fit = linprog(cost, A_eq=A, b_eq=target, bounds=(0.0, None), method="highs")
         if fit.status == 2:
-            return False, target
+            return False, Q.T @ target
         if fit.status != 0:
             raise NumericalFault(f"cone LP failed: {fit.message}")
         if np.linalg.norm(A @ fit.x - target) > CONE_RESIDUAL_TOL:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from landscape_lab import (
+    ControlGrid,
     analytic2d_trap_free_scan,
     build_su_basis,
     gradient,
@@ -110,15 +112,84 @@ class TestScan:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_the_lp_solver_unloaded(self):
+    @staticmethod
+    def _lp_solver_loaded_after(commands, out):
+        """'True' or 'False': whether scipy.optimize is loaded in a fresh
+        process that imports the CLI and runs each of `commands` through
+        cli.main."""
         src = os.path.dirname(os.path.dirname(landscape.__file__))
-        code = "import sys, landscape_lab.cli; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run(
+        code = (
+            "import sys, landscape_lab.cli as cli\n"
+            f"for argv in {commands!r}:\n"
+            f"    assert cli.main(argv + ['--output', {os.fspath(out)!r}]) == 0\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        proc = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_the_lp_solver_unloaded(self, tmp_path):
+        assert self._lp_solver_loaded_after([], tmp_path / "out.json") == "False"
+
+    def test_the_paper_path_leaves_the_lp_solver_unloaded(self, tmp_path):
+        commands = [
+            ["ce-boundary", "--samples", "50"],
+            ["rank", "--N", "3", "--grid-kind", "corner", "--kappa", "auto"],
+        ]
+        assert self._lp_solver_loaded_after(commands, tmp_path / "out.json") == "False"
+
+
+class TestPaperPathSkipsTheLP:
+    # Every corner on the paper's path is settled by rank or by the
+    # least-squares certificate; the LP of the cone test must not run.
+    NEG = repr(-float(KAPPA_AUTO))
+
+    @pytest.mark.parametrize(
+        "argv,rank,side",
+        [
+            (["ce-boundary"], None, -1.0),
+            (["rank", "--N", "2", "--grid-kind", "corner", "--kappa", "auto"], 3, -1.0),
+            (["rank", "--N", "3", "--grid-kind", "corner", "--kappa", "auto"], 8, -1.0),
+            (["rank", "--N", "4", "--grid-kind", "corner", "--kappa", "auto"], 15, -1.0),
+            (["rank", "--N", "2", "--grid-kind", "constant", "--fill", NEG, "--kappa", "auto"], 3, 1.0),
+            (["rank", "--N", "3", "--grid-kind", "constant", "--fill", NEG, "--kappa", "auto"], 8, 1.0),
+            (["rank", "--N", "4", "--grid-kind", "constant", "--fill", NEG, "--kappa", "auto"], 15, 1.0),
+        ],
+    )
+    def test_corners_are_certified_without_an_lp(self, tmp_path, monkeypatch, argv, rank, side):
+        monkeypatch.setattr(landscape, "linprog", self._no_lp)
+        code, payload = run_json(tmp_path, "c.json", argv)
+        assert code == 0
+        res = payload["results"]
+        assert res["cone_surjective"] is False
+        assert res.get("rank") == rank
+        assert res.get("full_rank") == (None if rank is None else True)
+        # At a constant corner every tangent row has the same component along
+        # the all-ones direction h, so the certificate is -h / |h| at +kappa
+        # and h / |h| at -kappa.
+        w = np.array(res["witness"])
+        assert np.allclose(w, side / np.sqrt(w.size), atol=1e-12)
+
+    def test_full_rank_random_grid_needs_no_lp(self, monkeypatch, capsys):
+        monkeypatch.setattr(landscape, "linprog", self._no_lp)
+        argv = ["rank", "--N", "8", "--Z", "20", "--grid-kind", "random"]
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            code = main(argv)
+            times.append(time.perf_counter() - started)
+            assert code == 0
+            res = json.loads(capsys.readouterr().out)["results"]
+            assert (res["rank"], res["full_rank"], res["cone_surjective"]) == (63, True, True)
+            assert res["witness"] is None
+        assert min(times) < 0.05
+
+    @staticmethod
+    def _no_lp(*args, **kwargs):
+        raise AssertionError("the cone test ran an LP")
 
 
 class TestDeterminism:
@@ -206,8 +277,15 @@ class TestExitCodes:
         ],
     )
     def test_cone_solver_fault_is_numerical(self, monkeypatch, answer):
+        # Every control at a bound, one of them at +kappa and the rest at
+        # -kappa: the cone is all of su(2), so no certificate settles it and
+        # each of its 12 controls is a variable of the quotient LP.
+        signs = -np.ones((3, 4))
+        signs[0, 1] = 1.0
+        corner = ControlGrid(1.0, KAPPA_AUTO, KAPPA_AUTO * signs)
+        monkeypatch.setattr(cli, "_make_grid", lambda *a: corner)
         monkeypatch.setattr(landscape, "linprog", lambda *a, **k: answer)
-        assert main(["rank", "--grid-kind", "corner", "--kappa", "auto"]) == 3
+        assert main(["rank", "--kappa", "auto"]) == 3
 
     @pytest.mark.usefixtures("non_unitary_trial_segment")
     def test_non_unitary_line_search_segment_is_numerical(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
-from scipy.optimize import lsq_linear
+from scipy.optimize import linprog, lsq_linear
 
 from landscape_lab import (
     ControlGrid,
@@ -19,6 +19,7 @@ from landscape_lab import (
     propagate,
     psi_tangent_map,
 )
+from landscape_lab import landscape
 from landscape_lab.landscape import _gradient_from
 from landscape_lab.qdyn import (
     _divided_differences,
@@ -405,6 +406,14 @@ def cone_residual(A, lb, ub, w):
     return float(np.linalg.norm(A @ fit.x - w))
 
 
+def variation_bounds(grid):
+    """(lb, ub): each control's one-sided bounds on its variation, flattened
+    like the grid's values, with infinite sides where it is free."""
+    edge = grid.kappa - 1e-9 * grid.kappa
+    vals = grid.values.ravel()
+    return np.where(vals <= -edge, 0.0, -np.inf), np.where(vals >= edge, 0.0, np.inf)
+
+
 def sampled_cone_test(grid, tm, samples=64, seed=0):
     """The sampled cone test the LP certificate replaced, kept as a reference.
 
@@ -412,10 +421,7 @@ def sampled_cone_test(grid, tm, samples=64, seed=0):
     seeded unit directions lies farther than 1e-8 from the admissible cone.
     """
     A = tm.rows.T
-    edge = grid.kappa - 1e-9 * grid.kappa
-    vals = grid.values.ravel()
-    lb = np.where(vals <= -edge, 0.0, -np.inf)
-    ub = np.where(vals >= edge, 0.0, np.inf)
+    lb, ub = variation_bounds(grid)
     rng = np.random.default_rng(seed)
     surjective = True
     for _ in range(samples):
@@ -423,6 +429,52 @@ def sampled_cone_test(grid, tm, samples=64, seed=0):
         if cone_residual(A, lb, ub, w / np.linalg.norm(w)) > 1e-8:
             surjective = False
     return surjective, lb, ub
+
+
+def _full_cone_lp(grid, tm):
+    """The cone test as one HiGHS LP per target +-e_k of su(N), each over all
+    the controls with their one-sided bounds, kept as a reference for the
+    rank, certificate and quotient steps that replaced it. Returns the
+    verdict."""
+    A = tm.rows.T
+    n = A.shape[0]
+    bounds = list(zip(*variation_bounds(grid)))
+    for target in np.concatenate([np.eye(n), -np.eye(n)]):
+        fit = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=target, bounds=bounds, method="highs")
+        if fit.status == 2:
+            return False
+        assert fit.status == 0, fit.message
+    return True
+
+
+class TestQuotientConeLP:
+    # N = 2, Z = 2 with one free control: its single row spans at most a line
+    # of su(2), so rank F < 3 and the cone is decided in a quotient of
+    # dimension 2, where no certificate settles either grid.
+    @pytest.mark.parametrize(
+        "signs,expected",
+        [([[1.0], [-1.0, 1.0], [-1.0, -1.0]], False), ([[1.0], [1.0, -1.0], [-1.0, -1.0]], True)],
+    )
+    def test_rank_deficient_free_rows_run_the_quotient_lp(self, monkeypatch, signs, expected):
+        vals = np.array([[-0.25] + signs[0], signs[1], signs[2]])
+        grid = ControlGrid(1.0, 1.0, vals)
+        tm = psi_tangent_map(grid, BASIS2)
+        assert local_surjectivity_rank(TangentMap(tm.rows[:1])) == (1, False)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["A_eq"].shape)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(landscape, "linprog", counting)
+        surjective, witness = boundary_cone_surjectivity(grid, tm)
+        assert calls and all(shape == (2, 5) for shape in calls)
+        assert surjective is expected
+        assert surjective == _full_cone_lp(grid, tm)
+        if witness is not None:
+            assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+            assert abs(tm.rows[0] @ witness) < 1e-12
+            assert cone_residual(tm.rows.T, *variation_bounds(grid), witness) > 1e-8
 
 
 class TestConeCertificateAgainstSampling:
@@ -441,6 +493,7 @@ class TestConeCertificateAgainstSampling:
                     surjective, witness = boundary_cone_surjectivity(grid, tm)
                     sampled, lb, ub = sampled_cone_test(grid, tm)
                     assert surjective == sampled, (N, Z, s)
+                    assert surjective == _full_cone_lp(grid, tm), (N, Z, s)
                     if witness is not None:
                         assert cone_residual(tm.rows.T, lb, ub, witness) > 1e-8
                     verdicts.append(surjective)

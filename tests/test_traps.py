@@ -116,7 +116,6 @@ class TestSettings:
         assert parameters(active_set) == (["grid"], {})
         assert parameters(boundary_cone_surjectivity) == (["grid", "tm"], {})
         assert parameters(landscape._at_bounds) == (["values", "kappa"], {})
-        assert parameters(landscape._variation_bounds) == (["grid"], {})
         assert parameters(traps._project) == (["g", "at_upper", "at_lower"], {})
         # A probe outside the box is a grid with a larger bound.
         assert parameters(ControlGrid.with_values) == (["self", "values"], {})
@@ -149,6 +148,7 @@ class TestSettings:
             (traps, "HESS_STEP"),
             (traps, "_free_hessians"),
             (landscape, "_gradient_stack"),
+            (landscape, "_variation_bounds"),
         ]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
 
