@@ -50,6 +50,15 @@ TANGENT_ROW_TOL = 1e-10
 RANK_TOL = 1e-8
 ACTIVE_TOL = 1e-9
 CONE_RESIDUAL_TOL = 1e-8
+# Full column rank is certified without an SVD when the Gram matrix's least
+# eigenvalue exceeds this share of its largest (see _certified_full_rank).
+GRAM_TOL = 1e-6
+
+# psi_tangent_map builds its rows this many bytes of complex tangent
+# matrices at a time: 4 segments at N = 8, 68 at N = 4. Whole-grid
+# temporaries at N = 8, Z = 20 would be 1.3 MB each, large enough for the
+# allocator to hand their pages back, to be faulted in again on every call.
+TANGENT_BLOCK_BYTES = 256 * 1024
 
 # scipy.optimize.linprog, bound on first use by boundary_cone_surjectivity:
 # importing scipy.optimize takes most of the package's import time, and only
@@ -385,18 +394,29 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     P_{z-1} with P_{z-1} = U_{z-1} ... U_1, so only prefix products enter. In
     the eigenbasis, U_z^dag dU_z = V (E o K o V^dag B_j V) V^dag with
     E[a, b] = exp(i lam_a dt). Each row is checked to be Hermitian traceless
-    before projection onto {B_k / sqrt(2)}.
+    before projection onto {B_k / sqrt(2)}. The rows are built a block of
+    at most TANGENT_BLOCK_BYTES of tangent matrices at a time; each row has
+    the same bits as from the whole grid at once.
     """
-    A = _tangent_rows(*_segment_products(grid.values, grid.dt, basis), grid.dt, basis)
-    not_hermitian = np.max(np.abs(A - _dagger(A)), axis=(2, 3)) > TANGENT_ROW_TOL
-    not_traceless = np.abs(np.trace(A, axis1=2, axis2=3)) > TANGENT_ROW_TOL
-    checks = ((not_hermitian, "Hermitian within tolerance"), (not_traceless, "traceless"))
-    for bad, what in checks:
-        if np.any(bad):
-            j, z = np.argwhere(bad)[0]
-            raise NumericalFault(f"tangent row ({j}, {z + 1}) is not {what}")
-    rows = _real_rows(A).reshape(-1, 2 * basis.dim * basis.dim) @ _real_rows(basis.stack).T
-    return TangentMap(rows / np.sqrt(2.0))
+    lam, V, P = _segment_products(grid.values, grid.dt, basis)
+    n, Z, dim = basis.size, grid.segments, basis.dim
+    pairing = _real_rows(basis.stack).T
+    rows = np.empty((n, Z, n))
+    step = max(1, TANGENT_BLOCK_BYTES // (16 * n * dim * dim))
+    for lo in range(0, Z, step):
+        hi = min(lo + step, Z)
+        A = _tangent_rows(lam[lo:hi], V[lo:hi], P[lo:hi + 1], grid.dt, basis)
+        # Written so that a NaN entry fails the check.
+        not_hermitian = ~(np.max(np.abs(A - _dagger(A)), axis=(2, 3)) <= TANGENT_ROW_TOL)
+        not_traceless = ~(np.abs(np.trace(A, axis1=2, axis2=3)) <= TANGENT_ROW_TOL)
+        checks = ((not_hermitian, "Hermitian within tolerance"), (not_traceless, "traceless"))
+        for bad, what in checks:
+            if np.any(bad):
+                j, z = np.argwhere(bad)[0]
+                raise NumericalFault(f"tangent row ({j}, {lo + z + 1}) is not {what}")
+        rows[:, lo:hi] = (_real_rows(A).reshape(-1, 2 * dim * dim) @ pairing).reshape(n, hi - lo, n)
+    rows /= np.sqrt(2.0)
+    return TangentMap(rows.reshape(n * Z, n))
 
 
 def _numerical_rank(s: np.ndarray) -> int:
@@ -407,10 +427,32 @@ def _numerical_rank(s: np.ndarray) -> int:
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
+def _certified_full_rank(R: np.ndarray) -> bool:
+    """True when the eigenvalues of R^T R certify that the m x n matrix R has
+    full column rank as _numerical_rank counts it; False decides nothing.
+
+    Rounding moves each Gram eigenvalue by about m n u lam_max (u the unit
+    roundoff). So lam_min > (GRAM_TOL + m n u) lam_max gives s_min above
+    about sqrt(GRAM_TOL) s_max, far above RANK_TOL. One Gram product and an
+    n x n eigvalsh cost a fraction of a tall SVD.
+    """
+    m, n = R.shape
+    if m < n:
+        return False
+    lam = np.linalg.eigvalsh(R.T @ R)
+    return bool(lam[0] > (GRAM_TOL + m * n * np.finfo(float).eps) * lam[-1])
+
+
 def local_surjectivity_rank(tm: TangentMap) -> tuple:
-    """(rank, surjective): singular values above RANK_TOL x largest, vs N^2 - 1."""
+    """(rank, surjective): singular values above RANK_TOL x largest, vs N^2 - 1.
+
+    A Gram certificate (_certified_full_rank) settles full rank with no SVD.
+    """
+    n = tm.rows.shape[1]
+    if _certified_full_rank(tm.rows):
+        return n, True
     rank = _numerical_rank(np.linalg.svd(tm.rows, compute_uv=False))
-    return rank, rank == tm.rows.shape[1]
+    return rank, rank == n
 
 
 def _at_bounds(values: np.ndarray, kappa: float) -> tuple:
@@ -448,8 +490,9 @@ def boundary_cone_surjectivity(grid: ControlGrid, tm: TangentMap) -> tuple:
     those at a bound, signed s = +1 at +kappa and -1 at -kappa, their image
     is the convex cone span(F) + cone{-G_k}. It is decided, with no sampling:
 
-    1. rank F = n (as local_surjectivity_rank counts it): surjective. With
-       no bound rows and rank F < n, the witness is a unit vector normal to
+    1. rank F = n (as local_surjectivity_rank counts it, by the Gram
+       certificate first and the SVD only if it fails): surjective. With no
+       bound rows and rank F < n, the witness is a unit vector normal to
        span(F).
     2. Let Q span span(F)^perp, w solve (G Q^T) w = 1 in least squares with
        least norm, and w_hat = Q^T w / |w|. If min_k G_k . w_hat exceeds
@@ -469,6 +512,8 @@ def boundary_cone_surjectivity(grid: ControlGrid, tm: TangentMap) -> tuple:
     n = R.shape[1]
     at_upper, at_lower = (m.ravel() for m in _at_bounds(grid.values, grid.kappa))
     F = R[~(at_upper | at_lower)]
+    if _certified_full_rank(F):
+        return True, None
     G = np.concatenate([R[at_upper & ~at_lower], -R[at_lower & ~at_upper]])
     # Full V^T only when F has fewer rows than columns, so a tall F costs no
     # square U.

@@ -187,6 +187,24 @@ class TestPaperPathSkipsTheLP:
             assert res["witness"] is None
         assert min(times) < 0.05
 
+    def test_full_rank_random_grid_needs_no_svd(self, tmp_path, monkeypatch):
+        # The Gram certificate settles both the rank and the cone test's
+        # first step; the payload is the one the SVD gave.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("rank took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        argv = ["rank", "--N", "8", "--Z", "20", "--grid-kind", "random"]
+        code, payload = run_json(tmp_path, "r8.json", argv)
+        assert code == 0
+        verdict = {"cone_surjective": True, "full_rank": True, "rank": 63, "witness": None}
+        assert payload["config"] == {
+            "N": 8, "T": 1.0, "Z": 20, "command": "rank", "fill": 0.0,
+            "grid_kind": "random", "kappa": "1.0", "seed": 0,
+        }
+        assert payload["results"] == dict(verdict, kappa=1.0)
+        assert payload["results_hex"] == dict(verdict, kappa="0x1.0000000000000p+0")
+
     @staticmethod
     def _no_lp(*args, **kwargs):
         raise AssertionError("the cone test ran an LP")

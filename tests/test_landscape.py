@@ -227,6 +227,51 @@ class TestTangentMap:
             TangentMap(np.zeros((4, 5)))
 
 
+def unblocked_tangent_rows(grid, basis):
+    """The tangent map's rows from one whole-grid _tangent_rows call and one
+    projection onto the basis: the reference the blocked build must match."""
+    lam, V, P = landscape._segment_products(grid.values, grid.dt, basis)
+    A = landscape._tangent_rows(lam, V, P, grid.dt, basis)
+    pairing = landscape._real_rows(basis.stack).T
+    return landscape._real_rows(A).reshape(-1, 2 * basis.dim ** 2) @ pairing / np.sqrt(2.0)
+
+
+def tangent_blocks(basis, Z):
+    """The segment counts of psi_tangent_map's blocks on a Z-segment grid."""
+    step = max(1, landscape.TANGENT_BLOCK_BYTES // (16 * basis.size * basis.dim ** 2))
+    return [min(step, Z - lo) for lo in range(0, Z, step)]
+
+
+class TestBlockedTangentMap:
+    @pytest.mark.parametrize(
+        "N,Z,blocks",
+        [(8, 20, [4] * 5), (4, 100, [68, 32]), (8, 7, [4, 3]), (2, 4, [4])],
+    )
+    def test_rows_are_bitwise_those_of_the_whole_grid(self, N, Z, blocks):
+        basis = build_su_basis(N)
+        assert tangent_blocks(basis, Z) == blocks
+        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, Z, np.random.default_rng(N * Z))
+        np.testing.assert_array_equal(
+            psi_tangent_map(grid, basis).rows, unblocked_tangent_rows(grid, basis)
+        )
+
+    def test_a_nan_in_a_later_block_names_its_segment(self, monkeypatch):
+        # At N = 8 a block holds 4 segments; prefix P_13 enters only segment
+        # 14, in the fourth block.
+        basis = build_su_basis(8)
+        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, 20, np.random.default_rng(0))
+        real = landscape._segment_products
+
+        def poisoned(*args):
+            lam, V, P = real(*args)
+            P[13, 0, 0] = np.nan
+            return lam, V, P
+
+        monkeypatch.setattr(landscape, "_segment_products", poisoned)
+        with pytest.raises(NumericalFault, match=r"tangent row \(0, 14\) is not Hermitian"):
+            psi_tangent_map(grid, basis)
+
+
 class TestDegenerateSpectra:
     # Every segment Hamiltonian has a repeated eigenvalue: 0 three times on
     # the zero grid, and a, a, -2a when only the diagonal generator
@@ -348,6 +393,49 @@ class TestLocalSurjectivityRank:
 
     def test_zero_rows_rank_zero(self):
         assert local_surjectivity_rank(TangentMap(np.zeros((2, 3)))) == (0, False)
+
+
+def with_singular_values(s, m, n, seed=0):
+    """A TangentMap whose m x n rows have the singular values s (at most n)."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0][: len(s)]
+    return TangentMap(left @ np.diag(s) @ right)
+
+
+class TestGramCertificate:
+    # Each rank is compared with the SVD count it stands in for.
+    @staticmethod
+    def svd_rank(tm):
+        return landscape._numerical_rank(np.linalg.svd(tm.rows, compute_uv=False))
+
+    @staticmethod
+    def _no_svd(*args, **kwargs):
+        raise AssertionError("the rank took an SVD")
+
+    def test_a_well_conditioned_map_is_certified_without_an_svd(self, monkeypatch):
+        tm = with_singular_values(np.linspace(2.0, 0.5, 15), 60, 15)
+        assert self.svd_rank(tm) == 15
+        monkeypatch.setattr(np.linalg, "svd", self._no_svd)
+        assert landscape._certified_full_rank(tm.rows)
+        assert local_surjectivity_rank(tm) == (15, True)
+
+    @pytest.mark.parametrize("ratio,rank", [(1e-7, 15), (1e-10, 14)])
+    def test_an_ill_conditioned_map_falls_back_to_the_svd(self, ratio, rank):
+        tm = with_singular_values(np.r_[np.linspace(2.0, 1.0, 14), 2.0 * ratio], 60, 15)
+        assert not landscape._certified_full_rank(tm.rows)
+        assert self.svd_rank(tm) == rank
+        assert local_surjectivity_rank(tm) == (rank, rank == 15)
+
+    def test_fewer_rows_than_columns(self):
+        tm = with_singular_values(np.linspace(2.0, 1.0, 5), 5, 8)
+        assert not landscape._certified_full_rank(tm.rows)
+        assert local_surjectivity_rank(tm) == (self.svd_rank(tm), False) == (5, False)
+
+    def test_all_zero_rows(self):
+        tm = TangentMap(np.zeros((30, 8)))
+        assert not landscape._certified_full_rank(tm.rows)
+        assert local_surjectivity_rank(tm) == (self.svd_rank(tm), False) == (0, False)
 
 
 class TestActiveSet:

@@ -676,16 +676,17 @@ def assert_run_matches_alone(system, start, basis, trace, max_iters=MAX_ITERS):
 class TestLockstepCensus:
     @pytest.mark.parametrize(
         "N,kappa,count",
-        [(2, KAPPA, 40), (3, 0.2, 5), (3, 0.4, 5), (4, 0.5, 5)],
+        [(2, KAPPA, 40), (3, 0.2, 5), (3, 0.4, 5), (4, 0.5, 5), (8, 0.5, 4)],
     )
     def test_every_run_matches_its_ascent_alone(self, monkeypatch, N, kappa, count):
         # The corner qubit's census starts 0-39, the qutrit of
-        # TestChunkedLineSearch, whose runs take 15 to 85 iterations, and a
-        # random ququart, whose runs end inside the box and on it. Every
-        # comparison is exact, the Hessian eigenvalues included.
+        # TestChunkedLineSearch, whose runs take 15 to 85 iterations, and
+        # random systems on 4 and 8 levels (on 2 segments, to stay fast),
+        # whose runs end inside the box and on it. Every comparison is
+        # exact, the Hessian eigenvalues included.
         basis = build_su_basis(N)
-        system = {2: corner_system, 3: random_qutrit_system}.get(N, lambda: random_system(4, 4))()
-        Z = 5 if N == 3 else 4
+        system = {2: corner_system, 3: random_qutrit_system}.get(N, lambda: random_system(N, N))()
+        Z = {3: 5, 8: 2}.get(N, 4)
         sampler = BasinSampler(count=count, seed=0, kappa=kappa, segments=Z, horizon=1.0)
         res, traces = census_traces(monkeypatch, system, basis, sampler)
         assert len(traces) == count
