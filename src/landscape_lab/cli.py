@@ -207,7 +207,7 @@ def _cmd_scan(args):
     stack[:, j1 - 1, z1 - 1] = c1
     stack[:, j2 - 1, z2 - 1] = c2
     rows = []
-    for b in _blocks(c1.size, args.Z):
+    for b in _blocks(c1.size, args.Z, basis.dim):
         J, lam, V, P = _evaluated(system, stack[b], grid.dt, basis)
         gr = _gradient_from(system, lam, V, P, grid.dt, basis)
         rows += np.column_stack(
@@ -643,22 +643,24 @@ def run(args: argparse.Namespace) -> tuple:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # Building and writing the report can fail too: a non-finite result has
+    # no JSON form, and --output may name a directory or a missing one.
     try:
         report, expect_ok = run(args)
+        text = (
+            _csv_payload(report) if args.format == "csv" else _json_payload(report)
+        )
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalFault, np.linalg.LinAlgError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    text = (
-        _csv_payload(report) if args.format == "csv" else _json_payload(report)
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK if expect_ok else EXIT_EXPECT
 
 

@@ -271,6 +271,14 @@ class TrapFreeScan:
     d2_floor_on_d1_zeros: float
 
 
+def _half_width(margin: float) -> float:
+    """pi/2 - margin, the half-width of the margin-restricted square; a
+    margin outside (0, pi/2), NaN included, is a ValueError."""
+    if not 0.0 < margin < np.pi / 2.0:
+        raise ValueError(f"margin must lie in (0, pi/2), got {margin}")
+    return np.pi / 2.0 - margin
+
+
 def slice_critical_points(c: float, margin: float = DEFAULT_MARGIN) -> SliceExtrema:
     """Closed-form interior extrema of the slice e2 = c.
 
@@ -278,7 +286,7 @@ def slice_critical_points(c: float, margin: float = DEFAULT_MARGIN) -> SliceExtr
     the maximum at the negative root, the minimum at the positive one, with
     values (2/pi)(+-(2/(3 sqrt(3))) cos(c)^{3/2} + tan(c/2)).
     """
-    lim = np.pi / 2.0 - margin
+    lim = _half_width(margin)
     if not abs(c) <= lim:
         raise ValueError(f"slice value {c} outside the margin-restricted domain")
     root = np.sqrt(np.cos(c) / 3.0)
@@ -310,7 +318,7 @@ def slice_census_2d(
         raise ValueError(f"need at least one slice, got {steps}")
     if not c_min <= c_max:
         raise ValueError(f"empty slice range ({c_min}, {c_max})")
-    lim = np.pi / 2.0 - margin
+    lim = _half_width(margin)
     if not (abs(c_min) <= lim and abs(c_max) <= lim):
         raise ValueError("slice range leaves the margin-restricted domain")
     cs = np.linspace(c_min, c_max, steps) if steps > 1 else np.array([c_min])
@@ -330,7 +338,7 @@ def _verify_slices(records: list, margin: float) -> None:
     each within the root tolerance and within SLICE_AGREEMENT_TOL of the
     closed form in location and value.
     """
-    lim = np.pi / 2.0 - margin
+    lim = _half_width(margin)
     cs = np.array([rec.c for rec in records])
     xs = np.linspace(-lim, lim, SLICE_VERIFY_GRID_POINTS)
     ds = _grad_raw(xs[None, :], cs[:, None])[0]
@@ -376,7 +384,7 @@ def analytic2d_trap_free_scan(
     """
     if grid_steps < 10:
         raise ValueError(f"grid too coarse to certify anything: {grid_steps}")
-    lim = np.pi / 2.0 - margin
+    lim = _half_width(margin)
     axis = np.linspace(-lim, lim, grid_steps)
     d1, d2 = _grad_raw(axis[:, None], axis[None, :])
     norms = np.hypot(d1, d2)

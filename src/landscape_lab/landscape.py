@@ -10,6 +10,7 @@ sit at the amplitude bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .qdyn import (
     _blocks,
     _dagger,
     _divided_differences,
+    _frozen,
     _hamiltonian_stack,
     _ordered_products,
     _propagated,
@@ -54,22 +56,10 @@ CONE_RESIDUAL_TOL = 1e-8
 # eigenvalue exceeds this share of its largest (see _certified_full_rank).
 GRAM_TOL = 1e-6
 
-# psi_tangent_map builds its rows this many bytes of complex tangent
-# matrices at a time: 4 segments at N = 8, 68 at N = 4. Whole-grid
-# temporaries at N = 8, Z = 20 would be 1.3 MB each, large enough for the
-# allocator to hand their pages back, to be faulted in again on every call.
-TANGENT_BLOCK_BYTES = 256 * 1024
-
 # scipy.optimize.linprog, bound on first use by boundary_cone_surjectivity:
 # importing scipy.optimize takes most of the package's import time, and only
 # the cone test's last resort, its quotient LP, needs it.
 linprog = None
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -208,14 +198,14 @@ def objective(system: QuantumSystem, U: np.ndarray) -> float:
 def _evaluated(system: QuantumSystem, values: np.ndarray, dt: float, basis: BasisSet) -> tuple:
     """(J, lam, V, P) at every grid of a (K, size, Z) value stack.
 
-    Each block of at most BLOCK_SEGMENTS segments is one checked kernel call
-    (_propagated), which gives the segment eigenpairs lam, V and the prefix
-    products P; J is read off the last prefix. The gradient (_gradient_from)
-    and the Hessian (_hessians) of the same grids need no further kernel
-    call.
+    Each block of grids holding at most BLOCK_BYTES of segment matrices
+    (_blocks) is one checked kernel call (_propagated), which gives the
+    segment eigenpairs lam, V and the prefix products P; J is read off the
+    last prefix. The gradient (_gradient_from) and the Hessian (_hessians)
+    of the same grids need no further kernel call.
     """
     parts = []
-    for b in _blocks(len(values), values.shape[-1]):
+    for b in _blocks(len(values), values.shape[-1], basis.dim):
         lam, V, P = _propagated(values[b], dt, basis)
         parts.append((_objective_values(system, P[:, -1]), lam, V, P))
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
@@ -228,7 +218,7 @@ def _objective_stack(
     _evaluated call per block, whose eigenpairs are dropped as it ends."""
     return np.concatenate([
         _evaluated(system, values[b], dt, basis)[0]
-        for b in _blocks(len(values), values.shape[-1])
+        for b in _blocks(len(values), values.shape[-1], basis.dim)
     ])
 
 
@@ -395,17 +385,15 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     the eigenbasis, U_z^dag dU_z = V (E o K o V^dag B_j V) V^dag with
     E[a, b] = exp(i lam_a dt). Each row is checked to be Hermitian traceless
     before projection onto {B_k / sqrt(2)}. The rows are built a block of
-    at most TANGENT_BLOCK_BYTES of tangent matrices at a time; each row has
-    the same bits as from the whole grid at once.
+    segments at a time (_blocks: 4 segments at N = 8, 68 at N = 4); each row
+    has the same bits as from the whole grid at once.
     """
     lam, V, P = _segment_products(grid.values, grid.dt, basis)
     n, Z, dim = basis.size, grid.segments, basis.dim
     pairing = _real_rows(basis.stack).T
     rows = np.empty((n, Z, n))
-    step = max(1, TANGENT_BLOCK_BYTES // (16 * n * dim * dim))
-    for lo in range(0, Z, step):
-        hi = min(lo + step, Z)
-        A = _tangent_rows(lam[lo:hi], V[lo:hi], P[lo:hi + 1], grid.dt, basis)
+    for b in _blocks(Z, n, dim):
+        A = _tangent_rows(lam[b], V[b], P[b.start:b.stop + 1], grid.dt, basis)
         # Written so that a NaN entry fails the check.
         not_hermitian = ~(np.max(np.abs(A - _dagger(A)), axis=(2, 3)) <= TANGENT_ROW_TOL)
         not_traceless = ~(np.abs(np.trace(A, axis1=2, axis2=3)) <= TANGENT_ROW_TOL)
@@ -413,8 +401,8 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
         for bad, what in checks:
             if np.any(bad):
                 j, z = np.argwhere(bad)[0]
-                raise NumericalFault(f"tangent row ({j}, {lo + z + 1}) is not {what}")
-        rows[:, lo:hi] = (_real_rows(A).reshape(-1, 2 * dim * dim) @ pairing).reshape(n, hi - lo, n)
+                raise NumericalFault(f"tangent row ({j}, {b.start + z + 1}) is not {what}")
+        rows[:, b] = (_real_rows(A).reshape(-1, 2 * dim * dim) @ pairing).reshape(n, -1, n)
     rows /= np.sqrt(2.0)
     return TangentMap(rows.reshape(n * Z, n))
 
@@ -561,7 +549,7 @@ def kappa_threshold(basis: BasisSet, T: float, Z: int) -> float:
     if Z < 1:
         raise ValueError(f"segment count must be >= 1, got {Z}")
     if basis.dim == 2:
-        return np.pi * Z / (np.sqrt(3.0) * T)
+        return np.pi * Z / (math.sqrt(3.0) * T)
     spread = 0.0
     for B in basis.elements:
         lam = np.linalg.eigvalsh(B)

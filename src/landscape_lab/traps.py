@@ -262,9 +262,9 @@ def _classify(
     and the (lam, V, P) of _evaluated there.
 
     The at-bound masks of all grids are taken once. The Hessians come from
-    one _hessians call per block of grids holding at most about
-    BLOCK_SEGMENTS tangent rows, so only one block's Hessians are held at a
-    time; each is reduced to its eigenvalues on the free coordinates.
+    one _hessians call per block of grids holding at most BLOCK_BYTES of
+    tangent rows (_blocks), so only one block's Hessians are held at a time;
+    each is reduced to its eigenvalues on the free coordinates.
     """
     kappa, dt = grids[0].kappa, grids[0].dt
     values = np.stack([grid.values for grid in grids])
@@ -272,7 +272,7 @@ def _classify(
     free = ~(at_upper | at_lower).reshape(len(grids), -1)
     rng_range = objective_range(system)
     reports = []
-    for b in _blocks(len(grids), values[0].size):
+    for b in _blocks(len(grids), values[0].size, basis.dim):
         hessians = _hessians(system, *(e[b] for e in eigen), dt, basis)
         for r, H in zip(range(len(grids))[b], hessians):
             f, j = np.flatnonzero(free[r]), float(js[r])

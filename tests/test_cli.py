@@ -309,6 +309,43 @@ class TestExitCodes:
     def test_non_unitary_line_search_segment_is_numerical(self):
         assert main(["ascent", "--start", "random", "--seed", "3"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--output", "."],
+            ["basis", "--output", "no/such/dir/x.json"],
+            # The threshold overflows to inf, which has no JSON form.
+            ["kappa-thr", "--T", "1e-320"],
+        ],
+    )
+    def test_a_report_that_cannot_be_built_or_written_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Slices past the pole of tan.
+            ["ce-slice", "--margin", "-0.2", "--c-max", "1.7"],
+            ["ce-slice", "--margin", "nan"],
+            # A square holding the poles, and one collapsed to a point.
+            ["ce-scan2d", "--margin", "-1"],
+            ["ce-scan2d", "--margin", "0"],
+            ["ce-scan2d", "--margin", "1.5707963267948966"],
+        ],
+    )
+    def test_a_margin_outside_the_open_quarter_turn_is_a_config_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: margin must lie in (0, pi/2), got {float(argv[2])}\n"
+        )
+
     @pytest.mark.parametrize("flag,value", [("--T", "inf"), ("--kappa", "1e308")])
     def test_a_bad_instance_input_is_one_error_line(self, flag, value):
         # In a fresh process, so that a numpy warning would reach stderr.

@@ -22,6 +22,7 @@ from landscape_lab import (
 from landscape_lab import landscape
 from landscape_lab.landscape import _gradient_from
 from landscape_lab.qdyn import (
+    _blocks,
     _divided_differences,
     _hamiltonian_stack,
     _propagated,
@@ -238,8 +239,7 @@ def unblocked_tangent_rows(grid, basis):
 
 def tangent_blocks(basis, Z):
     """The segment counts of psi_tangent_map's blocks on a Z-segment grid."""
-    step = max(1, landscape.TANGENT_BLOCK_BYTES // (16 * basis.size * basis.dim ** 2))
-    return [min(step, Z - lo) for lo in range(0, Z, step)]
+    return [len(range(Z)[b]) for b in _blocks(Z, basis.size, basis.dim)]
 
 
 class TestBlockedTangentMap:

@@ -1,0 +1,50 @@
+"""Checks on the package source itself, made with the standard library's ast."""
+
+import ast
+from pathlib import Path
+
+import landscape_lab
+
+SOURCES = sorted(Path(landscape_lab.__file__).parent.glob("*.py"))
+
+
+def defined_names(tree):
+    """Module-level functions, classes and assigned names of a module, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                    yield name.id
+
+
+def read_names(tree):
+    """Names a module reads: a loaded name, an attribute or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    # A constant or helper that nothing in the package reads any more is
+    # left over from code that is gone.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = {name for tree in trees.values() for name in read_names(tree)}
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in defined_names(tree)
+        if name not in read
+    ]
+    assert unread == []

@@ -149,6 +149,9 @@ class TestSettings:
             (traps, "_free_hessians"),
             (landscape, "_gradient_stack"),
             (landscape, "_variation_bounds"),
+            (qdyn, "BLOCK_SEGMENTS"),
+            (qdyn, "HERMITICITY_TOL"),
+            (landscape, "TANGENT_BLOCK_BYTES"),
         ]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
 
@@ -873,8 +876,9 @@ def column_loop_hessian(system, grid, basis, free, step, columns=None):
 
 
 class TestBlockedHessian:
-    """The exact Hessians of many grids, taken in blocks of at most about
-    BLOCK_SEGMENTS tangent rows."""
+    """The exact Hessians of many grids, taken in blocks of at most
+    BLOCK_BYTES of tangent rows. A 2 x 2 complex matrix takes 64 bytes, so
+    a bound of k * 64 bytes holds k tangent rows at N = 2."""
 
     @staticmethod
     def free_hessians(monkeypatch, system, grids, basis):
@@ -912,7 +916,7 @@ class TestBlockedHessian:
         v.flat[clamped] = (-1.0) ** np.arange(clamped.size)
         grid = ControlGrid(1.0, 1.0, v)
         if block is not None:
-            monkeypatch.setattr(qdyn, "BLOCK_SEGMENTS", block)
+            monkeypatch.setattr(qdyn, "BLOCK_BYTES", block * 64)
         _, held = self.free_hessians(monkeypatch, system, [grid] * 5, basis)
         want = column_loop_hessian(system, grid, basis, free, 1e-4)
         for H in held:
@@ -923,7 +927,7 @@ class TestBlockedHessian:
         # 3 grids a block, so a block holds grids of different free sets;
         # the corner has no free column and the third grid has 5 controls
         # at a bound.
-        monkeypatch.setattr(qdyn, "BLOCK_SEGMENTS", 40)
+        monkeypatch.setattr(qdyn, "BLOCK_BYTES", 40 * 64)
         system = corner_system()
         grids = [
             ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(seed))
@@ -973,7 +977,7 @@ class TestBlockedHessian:
         # the census is bitwise the one with the default block.
         sampler = BasinSampler(count=10, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
         _, want = census_traces(monkeypatch, corner_system(), BASIS2, sampler)
-        monkeypatch.setattr(qdyn, "BLOCK_SEGMENTS", 40)
+        monkeypatch.setattr(qdyn, "BLOCK_BYTES", 40 * 64)
         rows = []
 
         def spy(system, lam, *args, real=landscape._hessians):
