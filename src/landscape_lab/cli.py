@@ -28,7 +28,6 @@ import scipy
 from . import __version__
 from .qdyn import ControlGrid, NumericalFault, _blocks, build_su_basis, propagate
 from .landscape import (
-    QuantumSystem,
     _evaluated,
     _gradient_from,
     boundary_cone_surjectivity,
@@ -48,11 +47,10 @@ from .traps import (
 )
 from .counterexamples import (
     DEFAULT_MARGIN,
+    _trap_qubit,
     analytic2d_trap_free_scan,
     boundary_trap_instance,
     slice_census_2d,
-    trap_initial_state,
-    trap_observable,
     verify_boundary_trap,
 )
 
@@ -115,12 +113,6 @@ def _make_grid(kind: str, T: float, kappa: float, num_controls: int, Z: int,
             T, kappa, num_controls, Z, np.random.default_rng(seed)
         )
     raise ValueError(f"unknown grid kind {kind!r}")
-
-
-def _demo_system(T: float, kappa: float) -> tuple:
-    """Two-level demo system tied to the corner-trap observable."""
-    alpha = 2.0 * math.sqrt(3.0) * T * kappa
-    return QuantumSystem(2, trap_initial_state(), trap_observable(alpha)), alpha
 
 
 def _report_terminal(report) -> dict:
@@ -193,7 +185,7 @@ def _cmd_rank(args):
 def _cmd_scan(args):
     kappa = _parse_kappa(args.kappa)
     basis = build_su_basis(2)
-    system, alpha = _demo_system(args.T, kappa)
+    system, alpha = _trap_qubit(args.T, kappa)
     grid = _make_grid(args.base, args.T, kappa, basis.size, args.Z,
                       args.seed, args.fill)
     (j1, z1) = args.coord1
@@ -227,7 +219,7 @@ def _cmd_scan(args):
 def _cmd_ascent(args):
     kappa = _parse_kappa(args.kappa)
     basis = build_su_basis(2)
-    system, alpha = _demo_system(args.T, kappa)
+    system, alpha = _trap_qubit(args.T, kappa)
     start = _make_grid(args.start, args.T, kappa, basis.size, args.Z,
                        args.seed, args.fill)
     trace = gradient_ascent(system, start, basis, max_iters=args.max_iters,
@@ -245,7 +237,7 @@ def _cmd_ascent(args):
 def _cmd_basins(args):
     kappa = _parse_kappa(args.kappa)
     basis = build_su_basis(2)
-    system, alpha = _demo_system(args.T, kappa)
+    system, alpha = _trap_qubit(args.T, kappa)
     sampler = BasinSampler(count=args.count, seed=args.seed, kappa=kappa,
                            segments=args.Z, horizon=args.T)
     census = basin_census(system, basis, sampler, max_iters=args.max_iters,

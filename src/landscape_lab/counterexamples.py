@@ -15,16 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qdyn import BasisSet, ControlGrid, NumericalFault, build_su_basis, propagate
+from .qdyn import BasisSet, ControlGrid, NumericalFault, build_su_basis
 from .landscape import (
     QuantumSystem,
     _at_bounds,
+    _evaluated,
+    _gradient_from,
     _objective_stack,
-    gradient,
-    objective,
+    kappa_threshold,
     objective_range,
 )
-from .traps import ROOT_TOL, _bisect
+from .traps import ROOT_TOL, _bisect, _norms
 
 __all__ = [
     "BoundaryTrapInstance",
@@ -81,6 +82,23 @@ def trap_initial_state() -> np.ndarray:
     return (np.eye(2, dtype=complex) + PAULI_Z) / 2.0
 
 
+def _trap_qubit(T: float, kappa: float, Z: int | None = None) -> tuple:
+    """(system, alpha) of the corner-trap qubit, with alpha = 2 sqrt(3) T kappa.
+
+    Given Z, the segment-duration condition alpha < 2 pi Z is required
+    before the observable is formed, so an alpha that overflows is one
+    ValueError and no numpy warning.
+    """
+    alpha = 2.0 * math.sqrt(3.0) * T * kappa
+    if Z is not None and not alpha < 2.0 * np.pi * Z:
+        raise ValueError(
+            "segment duration too long for this bound: requires "
+            "T/Z < 2 pi / (2 sqrt(3) kappa), i.e. "
+            f"kappa < {kappa_threshold(build_su_basis(2), T, Z)}"
+        )
+    return QuantumSystem(2, trap_initial_state(), trap_observable(alpha)), alpha
+
+
 @dataclass(frozen=True)
 class BoundaryTrapInstance:
     """Two-level corner-control instance with the trap-inducing observable.
@@ -102,14 +120,7 @@ class BoundaryTrapInstance:
         # The grid first: ControlGrid rejects a bad T, Z or kappa before
         # any arithmetic on them.
         grid = ControlGrid(self.T, self.kappa, np.full((3, self.Z), self.kappa))
-        alpha = 2.0 * math.sqrt(3.0) * self.T * self.kappa
-        if not alpha < 2.0 * np.pi * self.Z:
-            kappa_thr = np.pi * self.Z / (np.sqrt(3.0) * self.T)
-            raise ValueError(
-                "segment duration too long for this bound: requires "
-                f"T/Z < 2 pi / (2 sqrt(3) kappa), i.e. kappa < {kappa_thr}"
-            )
-        system = QuantumSystem(2, trap_initial_state(), trap_observable(alpha))
+        system, alpha = _trap_qubit(self.T, self.kappa, self.Z)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "grid", grid)
@@ -166,7 +177,13 @@ def corner_escape_analysis(
         raise ValueError(f"need at least one sample, got {samples}")
     if not (radius > 0.0 and np.isfinite(radius)):
         raise ValueError(f"radius must be positive, got {radius}")
-    j_corner = objective(system, propagate(grid, basis).total)
+    # One checked kernel pass gives J and the gradient at the corner. The
+    # norm is taken of the z-major view _gradient_from returns, as
+    # LandscapeGradient.norm takes it: memory order sets its last bit.
+    J, lam, V, P = _evaluated(system, grid.values[None], grid.dt, basis)
+    grad = _gradient_from(system, lam, V, P, grid.dt, basis)[0]
+    grad_norm = np.linalg.norm(grad)
+    j_corner = float(J[0])
     j_global_max = objective_range(system).j_max
 
     at_upper, at_lower = _at_bounds(grid.values, grid.kappa)
@@ -175,9 +192,7 @@ def corner_escape_analysis(
     blocks, norms, missing = [], [], samples
     while missing:
         v = rng.standard_normal(size=(missing,) + grid.values.shape)
-        flat = v.reshape(missing, -1)
-        # per-row dot product: the rounding of np.linalg.norm on one block
-        nrm = np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(missing)
+        nrm = _norms(v)
         keep = nrm >= 1e-12
         blocks.append(v[keep])
         norms.append(nrm[keep])
@@ -188,9 +203,7 @@ def corner_escape_analysis(
     pert = np.clip(grid.values + d, -grid.kappa, grid.kappa)
     max_gain = float(np.max(_objective_stack(system, pert, grid.dt, basis) - j_corner))
 
-    grad = gradient(system, grid, basis)
-    grad_norm = grad.norm
-    outward = np.concatenate([grad.values[at_upper], -grad.values[at_lower]])
+    outward = np.concatenate([grad[at_upper], -grad[at_lower]])
     is_trap = (max_gain <= INWARD_GAIN_TOL) and (
         j_corner < j_global_max - SUBOPTIMALITY_TOL
     )
@@ -199,7 +212,7 @@ def corner_escape_analysis(
         trap_order = 1 if grad_norm > FIRST_ORDER_TOL else 2
     return TrapVerification(
         is_trap=is_trap,
-        j_at_corner=float(j_corner),
+        j_at_corner=j_corner,
         max_inward_gain=max_gain,
         j_global_max=float(j_global_max),
         gradient_norm_at_corner=float(grad_norm),

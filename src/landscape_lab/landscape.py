@@ -23,11 +23,8 @@ from .qdyn import (
     _dagger,
     _divided_differences,
     _frozen,
-    _hamiltonian_stack,
-    _ordered_products,
     _propagated,
     _second_divided_differences,
-    _segment_kernel,
 )
 
 __all__ = [
@@ -233,15 +230,6 @@ def objective_range(system: QuantumSystem) -> ObjectiveRange:
     return ObjectiveRange(float(r[::-1] @ o), float(r @ o))
 
 
-def _segment_products(values: np.ndarray, dt: float, basis: BasisSet) -> tuple:
-    """(lam, V, P) as _propagated gives them, without its unitarity and
-    determinant checks. gradient and psi_tangent_map take one grid and
-    check only what they return, as they always have: the checks would add
-    0.06 to 0.09 ms to each call at N = 8, Z = 20 and N = 4, Z = 100."""
-    lam, V, U = _segment_kernel(_hamiltonian_stack(values, basis), dt)
-    return lam, V, _ordered_products(U)
-
-
 def _real_rows(A: np.ndarray) -> np.ndarray:
     """The entries of each matrix of a (..., N, N) stack as one real row of
     interleaved (re, im) pairs: Re Tr[X Y^dag] is the dot product of two rows."""
@@ -297,7 +285,7 @@ def gradient(system: QuantumSystem, grid: ControlGrid, basis: BasisSet) -> Lands
     table is symmetric, this equals 2 Re Tr[B_j G_z] with one N x N matrix
     G_z = V (K o V^dag W_z V) V^dag per segment.
     """
-    lam, V, P = _segment_products(grid.values, grid.dt, basis)
+    lam, V, P = _propagated(grid.values, grid.dt, basis)
     return LandscapeGradient(_gradient_from(system, lam, V, P, grid.dt, basis))
 
 
@@ -388,7 +376,7 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     segments at a time (_blocks: 4 segments at N = 8, 68 at N = 4); each row
     has the same bits as from the whole grid at once.
     """
-    lam, V, P = _segment_products(grid.values, grid.dt, basis)
+    lam, V, P = _propagated(grid.values, grid.dt, basis)
     n, Z, dim = basis.size, grid.segments, basis.dim
     pairing = _real_rows(basis.stack).T
     rows = np.empty((n, Z, n))
@@ -542,16 +530,20 @@ def kappa_threshold(basis: BasisSet, T: float, Z: int) -> float:
     For N = 2 the worst-case spread of sum_j eps_j sigma_j over the box is
     exactly 2 sqrt(3) kappa, giving pi Z / (sqrt(3) T). For N > 2 the spread
     is bounded by kappa sum_j spread(B_j), so the returned threshold is
-    conservative.
+    conservative. A threshold that overflows is a ValueError naming T.
     """
     if not (T > 0.0 and np.isfinite(T)):
         raise ValueError(f"horizon must be positive, got {T}")
     if Z < 1:
         raise ValueError(f"segment count must be >= 1, got {Z}")
     if basis.dim == 2:
-        return np.pi * Z / (math.sqrt(3.0) * T)
-    spread = 0.0
-    for B in basis.elements:
-        lam = np.linalg.eigvalsh(B)
-        spread += float(lam[-1] - lam[0])
-    return 2.0 * np.pi * Z / (T * spread)
+        thr = np.pi * Z / (math.sqrt(3.0) * T)
+    else:
+        spread = 0.0
+        for B in basis.elements:
+            lam = np.linalg.eigvalsh(B)
+            spread += float(lam[-1] - lam[0])
+        thr = 2.0 * np.pi * Z / (T * spread)
+    if not math.isfinite(thr):
+        raise ValueError(f"horizon {T} is too short: the kappa threshold overflows")
+    return thr

@@ -207,9 +207,10 @@ def _gradient_converged(pnorm: np.ndarray, tol_grad: float) -> np.ndarray:
 
 
 def _norms(pg: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each gradient in a stack, with the rounding
-    np.linalg.norm gives one grid: a dot product of the grid's entries in
-    their memory order (a gradient is stored z-major)."""
+    """Frobenius norm of each grid-shaped array in a stack (a gradient, or
+    an escape probe), with the rounding np.linalg.norm gives one alone: a
+    dot product of its entries in their memory order (a gradient is stored
+    z-major)."""
     if pg.strides[-1] > pg.strides[-2]:
         pg = np.swapaxes(pg, -1, -2)
     flat = pg.reshape(len(pg), -1)

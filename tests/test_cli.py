@@ -21,7 +21,8 @@ from landscape_lab import (
     propagate,
 )
 from landscape_lab import cli
-from landscape_lab.cli import _demo_system, _make_grid, main
+from landscape_lab.cli import _make_grid, main
+from landscape_lab.counterexamples import _trap_qubit
 
 KAPPA_AUTO = np.pi / np.sqrt(3.0)
 BASIS2 = build_su_basis(2)
@@ -98,7 +99,7 @@ class TestScan:
                 "--coord1", "1,2", "--coord2", "3,4"]
         code, payload = run_json(tmp_path, "s.json", argv)
         assert code == 0
-        system, _ = _demo_system(1.0, KAPPA_AUTO)
+        system, _ = _trap_qubit(1.0, KAPPA_AUTO)
         grid = _make_grid("random", 1.0, KAPPA_AUTO, 3, 4, 3, 0.0)
         rows = payload["results"]["rows"]
         assert len(rows) == 16
@@ -314,8 +315,11 @@ class TestExitCodes:
         [
             ["basis", "--output", "."],
             ["basis", "--output", "no/such/dir/x.json"],
-            # The threshold overflows to inf, which has no JSON form.
+            # The threshold overflows, in every output format and at any N.
             ["kappa-thr", "--T", "1e-320"],
+            ["kappa-thr", "--T", "1e-320", "--format", "csv"],
+            ["kappa-thr", "--T", "1e-320", "--N", "3"],
+            ["kappa-thr", "--T", "1e-320", "--N", "3", "--format", "csv"],
         ],
     )
     def test_a_report_that_cannot_be_built_or_written_is_a_config_error(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from landscape_lab import counterexamples
+from landscape_lab import counterexamples, qdyn
 from landscape_lab import (
     ControlGrid,
     NumericalFault,
@@ -131,6 +131,38 @@ class TestTrapVerification:
         assert w.kkt_margin == float(np.min(-gradient(inst.system, flipped, BASIS2).values))
         inner = ControlGrid.constant(1.0, KAPPA, 3, 4, 0.5)
         assert corner_escape_analysis(inst.system, inner, BASIS2, 10, 1e-3, 1).kkt_margin is None
+
+    @pytest.mark.parametrize(
+        "T,Z,kappa,signs",
+        [
+            (1.0, 4, KAPPA, None),
+            (1.0, 3, 0.5, None),
+            (0.7, 4, 1.1, [[1, -1, 1, -1], [-1, -1, 1, 1], [1, 1, -1, 1]]),
+        ],
+    )
+    def test_the_corner_is_evaluated_in_one_kernel_pass(self, monkeypatch, T, Z, kappa, signs):
+        inst = boundary_trap_instance(T, Z, kappa)
+        grid = inst.grid if signs is None else ControlGrid(T, kappa, kappa * np.array(signs))
+        # The reference: J and the gradient, each down its own public path.
+        j_ref = objective(inst.system, propagate(grid, BASIS2).total)
+        g_ref = gradient(inst.system, grid, BASIS2)
+        at_upper, at_lower = grid.values > 0.0, grid.values < 0.0
+        outward = np.concatenate([g_ref.values[at_upper], -g_ref.values[at_lower]])
+        real, passes = qdyn._segment_kernel, []
+
+        def spy(H, dt):
+            passes.append(H.shape)
+            return real(H, dt)
+
+        monkeypatch.setattr(qdyn, "_segment_kernel", spy)
+        v = corner_escape_analysis(inst.system, grid, BASIS2, 1000, 1e-3 * kappa, 4)
+        # One pass for the corner, one for the 1000 probes.
+        assert passes == [(1, Z, 2, 2), (1000, Z, 2, 2)]
+        assert type(v.is_trap) is bool
+        assert type(v.j_at_corner) is float
+        assert v.j_at_corner == j_ref
+        assert v.gradient_norm_at_corner == g_ref.norm
+        assert v.kkt_margin == float(outward.min())
 
     def test_inward_gain_shrinks_with_radius(self):
         inst = reference_instance()

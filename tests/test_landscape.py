@@ -19,7 +19,7 @@ from landscape_lab import (
     propagate,
     psi_tangent_map,
 )
-from landscape_lab import landscape
+from landscape_lab import landscape, qdyn
 from landscape_lab.landscape import _gradient_from
 from landscape_lab.qdyn import (
     _blocks,
@@ -231,7 +231,7 @@ class TestTangentMap:
 def unblocked_tangent_rows(grid, basis):
     """The tangent map's rows from one whole-grid _tangent_rows call and one
     projection onto the basis: the reference the blocked build must match."""
-    lam, V, P = landscape._segment_products(grid.values, grid.dt, basis)
+    lam, V, P = _propagated(grid.values, grid.dt, basis)
     A = landscape._tangent_rows(lam, V, P, grid.dt, basis)
     pairing = landscape._real_rows(basis.stack).T
     return landscape._real_rows(A).reshape(-1, 2 * basis.dim ** 2) @ pairing / np.sqrt(2.0)
@@ -260,15 +260,44 @@ class TestBlockedTangentMap:
         # 14, in the fourth block.
         basis = build_su_basis(8)
         grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, 20, np.random.default_rng(0))
-        real = landscape._segment_products
+        real = landscape._propagated
 
         def poisoned(*args):
             lam, V, P = real(*args)
             P[13, 0, 0] = np.nan
             return lam, V, P
 
-        monkeypatch.setattr(landscape, "_segment_products", poisoned)
+        monkeypatch.setattr(landscape, "_propagated", poisoned)
         with pytest.raises(NumericalFault, match=r"tangent row \(0, 14\) is not Hermitian"):
+            psi_tangent_map(grid, basis)
+
+
+class TestCheckedPropagation:
+    # gradient and psi_tangent_map take their eigenpairs and prefix products
+    # from the checked _propagated, so a segment unitary off by a part in
+    # 1e9 is a fault, not a number.
+    @pytest.fixture
+    def off_segment(self, monkeypatch):
+        real = qdyn._segment_kernel
+
+        def kernel(H, dt):
+            lam, V, U = real(H, dt)
+            U = U.copy()
+            U[..., 2, :, :] *= 1.0 + 1e-9
+            return lam, V, U
+
+        monkeypatch.setattr(qdyn, "_segment_kernel", kernel)
+
+    @pytest.mark.usefixtures("off_segment")
+    @pytest.mark.parametrize("N,Z", [(2, 4), (8, 20)])
+    def test_gradient_and_tangent_map_fault_on_a_non_unitary_segment(self, N, Z):
+        basis = build_su_basis(N)
+        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, Z, np.random.default_rng(Z))
+        system = random_system(N, np.random.default_rng(N))
+        fault = r"segment unitary 2 failed the unitarity check"
+        with pytest.raises(NumericalFault, match=fault):
+            gradient(system, grid, basis)
+        with pytest.raises(NumericalFault, match=fault):
             psi_tangent_map(grid, basis)
 
 
@@ -615,6 +644,11 @@ class TestKappaThreshold:
             kappa_threshold(BASIS2, 0.0, 4)
         with pytest.raises(ValueError):
             kappa_threshold(BASIS2, 1.0, 0)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_a_threshold_that_overflows_names_the_horizon(self, N):
+        with pytest.raises(ValueError, match=r"horizon 1e-320 is too short"):
+            kappa_threshold(build_su_basis(N), 1e-320, 4)
 
 
 class TestInteriorRegularity:

@@ -152,6 +152,8 @@ class TestSettings:
             (qdyn, "BLOCK_SEGMENTS"),
             (qdyn, "HERMITICITY_TOL"),
             (landscape, "TANGENT_BLOCK_BYTES"),
+            (cli, "_demo_system"),
+            (landscape, "_segment_products"),
         ]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
 
