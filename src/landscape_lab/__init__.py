@@ -19,7 +19,6 @@ from .landscape import (
     ObjectiveRange,
     QuantumSystem,
     TangentMap,
-    active_set,
     boundary_cone_surjectivity,
     gradient,
     kappa_threshold,

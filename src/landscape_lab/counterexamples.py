@@ -85,9 +85,10 @@ def trap_initial_state() -> np.ndarray:
 def _trap_qubit(T: float, kappa: float, Z: int | None = None) -> tuple:
     """(system, alpha) of the corner-trap qubit, with alpha = 2 sqrt(3) T kappa.
 
-    Given Z, the segment-duration condition alpha < 2 pi Z is required
-    before the observable is formed, so an alpha that overflows is one
-    ValueError and no numpy warning.
+    Given Z, alpha must meet the segment-duration condition alpha < 2 pi Z,
+    and in any case be finite. Both are required before the observable is
+    formed, so an alpha that overflows is one ValueError and no numpy
+    warning.
     """
     alpha = 2.0 * math.sqrt(3.0) * T * kappa
     if Z is not None and not alpha < 2.0 * np.pi * Z:
@@ -96,6 +97,8 @@ def _trap_qubit(T: float, kappa: float, Z: int | None = None) -> tuple:
             "T/Z < 2 pi / (2 sqrt(3) kappa), i.e. "
             f"kappa < {kappa_threshold(build_su_basis(2), T, Z)}"
         )
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha = 2 sqrt(3) T kappa is not finite at T = {T}, kappa = {kappa}")
     return QuantumSystem(2, trap_initial_state(), trap_observable(alpha)), alpha
 
 
@@ -267,10 +270,6 @@ class SliceCensus:
     """Per-slice interior extrema over a range of constraint values c."""
 
     per_slice: tuple
-
-    @property
-    def c_values(self) -> tuple:
-        return tuple(rec.c for rec in self.per_slice)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ __all__ = [
     "gradient",
     "psi_tangent_map",
     "local_surjectivity_rank",
-    "active_set",
     "boundary_cone_surjectivity",
     "kappa_threshold",
 ]
@@ -78,13 +77,15 @@ class QuantumSystem:
                 f"expected {shape} matrices, got rho0 {rho.shape}, "
                 f"observable {obs.shape}"
             )
-        if np.max(np.abs(rho - rho.conj().T)) > SYSTEM_TOL:
+        # Each check is written so that a NaN entry fails it.
+        if not np.max(np.abs(rho - rho.conj().T)) <= SYSTEM_TOL:
             raise ValueError("rho0 is not Hermitian")
-        if np.max(np.abs(obs - obs.conj().T)) > SYSTEM_TOL:
+        if not np.max(np.abs(obs - obs.conj().T)) <= SYSTEM_TOL:
             raise ValueError("observable is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > SYSTEM_TOL or abs(np.trace(rho).imag) > SYSTEM_TOL:
-            raise ValueError(f"Tr rho0 = {np.trace(rho)}, expected 1")
-        if np.min(np.linalg.eigvalsh(rho)) < -SYSTEM_TOL:
+        trace = np.trace(rho)
+        if not (abs(trace.real - 1.0) <= SYSTEM_TOL and abs(trace.imag) <= SYSTEM_TOL):
+            raise ValueError(f"Tr rho0 = {trace}, expected 1")
+        if not np.min(np.linalg.eigvalsh(rho)) >= -SYSTEM_TOL:
             raise ValueError("rho0 has a negative eigenvalue")
         object.__setattr__(self, "rho0", _frozen(rho))
         object.__setattr__(self, "observable", _frozen(obs))
@@ -154,10 +155,6 @@ class TangentMap:
         if dim * dim - 1 != n or dim < 2:
             raise ValueError(f"{n} columns does not match any su(N) dimension")
         object.__setattr__(self, "rows", _frozen(rows))
-
-    @property
-    def dim(self) -> int:
-        return round(np.sqrt(self.rows.shape[1] + 1))
 
 
 def _objective_values(system: QuantumSystem, U: np.ndarray) -> np.ndarray:
@@ -289,32 +286,57 @@ def gradient(system: QuantumSystem, grid: ControlGrid, basis: BasisSet) -> Lands
     return LandscapeGradient(_gradient_from(system, lam, V, P, grid.dt, basis))
 
 
-def _tangent_rows(
+def _tangent_map_rows(
     lam: np.ndarray, V: np.ndarray, P: np.ndarray, dt: float, basis: BasisSet
 ) -> np.ndarray:
-    """-i U_T^dag (dU_T/d eps_{j,z}) at every grid of a stack, from its
-    _evaluated eigenpairs and prefix products, as a (..., size, Z, N, N) stack.
+    """The tangent map's rows (see psi_tangent_map) at one grid or at every
+    grid of a stack, from its _evaluated eigenpairs and prefix products, as a
+    (..., size, Z, size) stack.
 
-    It equals -i Q_z^dag (M_z o V_z^dag B_j V_z) Q_z with Q_z = V_z^dag P_{z-1}
-    and M = E o K (see psi_tangent_map). Each product is one matmul per
-    segment over all generators at once; the comments give the index layout
-    of each result after the grid axes.
+    The matrix of row (j, z), -i U_T^dag (dU_T/d eps_{j,z}), equals
+    -i Q_z^dag (M_z o V_z^dag B_j V_z) Q_z with Q_z = V_z^dag P_{z-1} and
+    M = E o K, E[a, b] = exp(i lam_a dt). Each is checked to be Hermitian
+    traceless before projection onto {B_k / sqrt(2)}. They are built a block
+    of segments at a time, the block counting the matrices of every grid
+    (_blocks: 4 segments of one grid at N = 8, 68 at N = 4). Each grid's
+    projection is a product of its own, with the grid axes as batch axes and
+    never in the BLAS row count (see _basis_pairing), so a grid's rows have
+    the same bits alone and in any stack.
     """
     (Z, dim), n = lam.shape[-2:], basis.size
     lead = lam.shape[:-2]
-    Vh = _dagger(V)
-    M = np.exp(1j * dt * lam)[..., None] * _divided_differences(lam, dt)
-    Q = Vh @ P[..., :-1, :, :]
-    # Each large intermediate replaces the last, and products are taken in
-    # place: at N = 8 every fresh one is a megabyte of pages to fault in.
-    X = np.matmul(basis.stack.reshape(n * dim, dim), V)  # [z, (j, a), c]
-    X = X.reshape(lead + (Z, n, dim, dim)).swapaxes(-3, -2).reshape(lead + (Z, dim, n * dim))
-    X = (Vh @ X).reshape(lead + (Z, dim, n, dim))  # [z, d, j, c]
-    X *= M[..., None, :]
-    X = (_dagger(Q) @ X.reshape(lead + (Z, dim, n * dim))).reshape(lead + (Z, dim * n, dim))
-    A = X @ Q  # [z, (e, j), f]
-    A *= -1j
-    return np.moveaxis(A.reshape(lead + (Z, dim, n, dim)), -2, -4)  # [j, z, e, f]
+    pairing = _real_rows(basis.stack).T
+    rows = np.empty(lead + (n, Z, n))
+    for b in _blocks(Z, n * math.prod(lead), dim):
+        lam_b, V_b = lam[..., b, :], V[..., b, :, :]
+        Zb, Vh = lam_b.shape[-2], _dagger(V_b)
+        M = np.exp(1j * dt * lam_b)[..., None] * _divided_differences(lam_b, dt)
+        Q = Vh @ P[..., :-1, :, :][..., b, :, :]
+        # Each large intermediate replaces the last, products are taken in
+        # place, and no name keeps one into the next block: every extra one
+        # is pages faulted back in on each call. The comments give the
+        # index layout after the grid axes.
+        X = np.matmul(basis.stack.reshape(n * dim, dim), V_b)  # [z, (j, a), c]
+        X = X.reshape(lead + (Zb, n, dim, dim)).swapaxes(-3, -2).reshape(lead + (Zb, dim, n * dim))
+        X = (Vh @ X).reshape(lead + (Zb, dim, n, dim))  # [z, d, j, c]
+        X *= M[..., None, :]
+        X = (_dagger(Q) @ X.reshape(lead + (Zb, dim, n * dim))).reshape(lead + (Zb, dim * n, dim))
+        X = X @ Q  # [z, (e, j), f]
+        X *= -1j
+        A = np.moveaxis(X.reshape(lead + (Zb, dim, n, dim)), -2, -4)  # [j, z, e, f]
+        # Written so that a NaN entry fails the check.
+        not_hermitian = ~(np.max(np.abs(A - _dagger(A)), axis=(-2, -1)) <= TANGENT_ROW_TOL)
+        not_traceless = ~(np.abs(np.trace(A, axis1=-2, axis2=-1)) <= TANGENT_ROW_TOL)
+        checks = ((not_hermitian, "Hermitian within tolerance"), (not_traceless, "traceless"))
+        for bad, what in checks:
+            if np.any(bad):
+                j, z = np.argwhere(bad)[0][-2:]
+                raise NumericalFault(f"tangent row ({j}, {b.start + z + 1}) is not {what}")
+        rows[..., b, :] = (
+            _real_rows(A).reshape(lead + (n * Zb, 2 * dim * dim)) @ pairing
+        ).reshape(lead + (n, Zb, n))
+    rows /= np.sqrt(2.0)
+    return rows
 
 
 def _hessians(
@@ -334,18 +356,23 @@ def _hessians(
       W_rp, with E^a = V_z^dag B_a V_z, W the adjoint weight in V_z's
       eigenbasis (_eigenbasis_weights) and F the second divided differences
       of exp(-i x dt) at V_z's eigenvalues.
-    The two traces over all pairs are two (m x N^2)(N^2 x m) products of
-    real rows (_real_rows), since A_l is Hermitian. The within-segment sum
-    runs over r first, then over (p, q) as one product per segment.
+    Each A_k is Hermitian traceless, A_k = sum_c R_kc B_c / sqrt(2) with R
+    the tangent map's checked rows (_tangent_map_rows). So the traces are
+    2 Re Tr[M A_k rho A_l] = 2 (R T R^T)_kl with T_cd = Re Tr[M B_c rho B_d] / 2
+    and 2 Re Tr[M A_l A_k rho] = 2 (R T' R^T)_kl with
+    T'_cd = Re Tr[B_c rho M B_d] / 2, each an n x n pairing of the basis
+    (_basis_pairing). The within-segment sum runs over r first, then over
+    (p, q) as one product per segment.
     """
     (Z, dim), n = lam.shape[-2:], basis.size
     lead, m = lam.shape[:-2], n * Z
-    A = _tangent_rows(lam, V, P, dt, basis).reshape(lead + (m, dim, dim))
+    R = _tangent_map_rows(lam, V, P, dt, basis).reshape(lead + (m, n))
+    Rt = np.swapaxes(R, -1, -2)
     total = P[..., -1, :, :]
     M = (_dagger(total) @ system.observable @ total)[..., None, :, :]
-    rows_a = np.swapaxes(_real_rows(A), -1, -2)
-    H = _real_rows(M @ A @ system.rho0) @ rows_a
-    later = _real_rows(A @ (system.rho0 @ M)) @ rows_a
+    # 2 T and 2 T': scaling by 2 is exact, so H needs no factor 2 after.
+    H = R @ _basis_pairing(M @ basis.stack @ system.rho0, basis) @ Rt
+    later = R @ _basis_pairing(basis.stack @ (system.rho0 @ M), basis) @ Rt
     z = np.arange(m) % Z
     later[..., ~(z[:, None] < z[None, :])] = 0.0
     H -= later
@@ -360,8 +387,7 @@ def _hessians(
     S = (E.reshape(flat) @ np.swapaxes(L.reshape(flat), -1, -2)).real
     zz = np.arange(Z)
     within = np.moveaxis(S + np.swapaxes(S, -1, -2), -3, 0)  # [z, ..., a, b]
-    H.reshape(lead + (n, Z, n, Z))[..., :, zz, :, zz] += within
-    H *= 2.0
+    H.reshape(lead + (n, Z, n, Z))[..., :, zz, :, zz] += 2.0 * within
     return H
 
 
@@ -371,28 +397,11 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     -i U_T^dag (dU_T/d eps_{j,z}) = -i P_{z-1}^dag U_z^dag (dU_z/d eps_{j,z})
     P_{z-1} with P_{z-1} = U_{z-1} ... U_1, so only prefix products enter. In
     the eigenbasis, U_z^dag dU_z = V (E o K o V^dag B_j V) V^dag with
-    E[a, b] = exp(i lam_a dt). Each row is checked to be Hermitian traceless
-    before projection onto {B_k / sqrt(2)}. The rows are built a block of
-    segments at a time (_blocks: 4 segments at N = 8, 68 at N = 4); each row
-    has the same bits as from the whole grid at once.
+    E[a, b] = exp(i lam_a dt). The rows come from one checked kernel pass
+    (_propagated) and are built in blocks of segments (_tangent_map_rows).
     """
     lam, V, P = _propagated(grid.values, grid.dt, basis)
-    n, Z, dim = basis.size, grid.segments, basis.dim
-    pairing = _real_rows(basis.stack).T
-    rows = np.empty((n, Z, n))
-    for b in _blocks(Z, n, dim):
-        A = _tangent_rows(lam[b], V[b], P[b.start:b.stop + 1], grid.dt, basis)
-        # Written so that a NaN entry fails the check.
-        not_hermitian = ~(np.max(np.abs(A - _dagger(A)), axis=(2, 3)) <= TANGENT_ROW_TOL)
-        not_traceless = ~(np.abs(np.trace(A, axis1=2, axis2=3)) <= TANGENT_ROW_TOL)
-        checks = ((not_hermitian, "Hermitian within tolerance"), (not_traceless, "traceless"))
-        for bad, what in checks:
-            if np.any(bad):
-                j, z = np.argwhere(bad)[0]
-                raise NumericalFault(f"tangent row ({j}, {b.start + z + 1}) is not {what}")
-        rows[:, b] = (_real_rows(A).reshape(-1, 2 * dim * dim) @ pairing).reshape(n, -1, n)
-    rows /= np.sqrt(2.0)
-    return TangentMap(rows.reshape(n * Z, n))
+    return TangentMap(_tangent_map_rows(lam, V, P, grid.dt, basis).reshape(-1, basis.size))
 
 
 def _numerical_rank(s: np.ndarray) -> int:
@@ -442,19 +451,13 @@ def _at_bounds(values: np.ndarray, kappa: float) -> tuple:
 
 
 def _active_entries(at_upper: np.ndarray, at_lower: np.ndarray) -> list:
-    """active_set from one grid's _at_bounds masks; a control in both (kappa = 0) is '+'."""
+    """The controls at a bound, from one grid's _at_bounds masks: (j, z, side)
+    with z 1-based and side '+' at +kappa, '-' at -kappa, and '+' for a
+    control in both (kappa = 0)."""
     return [
         (j, z0 + 1, "+" if at_upper[j, z0] else "-")
         for j, z0 in np.argwhere(at_upper | at_lower).tolist()
     ]
-
-
-def active_set(grid: ControlGrid) -> list:
-    """Controls at the bound: (j, z, side) with z 1-based and side '+' or '-'.
-
-    The side is '+' for eps >= 0 and '-' otherwise.
-    """
-    return _active_entries(*_at_bounds(grid.values, grid.kappa))
 
 
 def boundary_cone_surjectivity(grid: ControlGrid, tm: TangentMap) -> tuple:

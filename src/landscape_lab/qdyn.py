@@ -167,6 +167,8 @@ class ControlGrid:
         segments: int,
         rng: np.random.Generator,
     ) -> "ControlGrid":
+        if np.isinf(2.0 * kappa):
+            raise ValueError(f"bound {kappa} is too large to sample: 2 kappa overflows")
         vals = rng.uniform(-kappa, kappa, size=(num_controls, segments))
         return cls(horizon, kappa, vals)
 
@@ -186,10 +188,6 @@ class PropagationResult:
             )
         object.__setattr__(self, "total", _frozen(_check_propagation(segs)[-1]))
         object.__setattr__(self, "segment_unitaries", tuple(_frozen(segs)))
-
-    @property
-    def dim(self) -> int:
-        return self.total.shape[0]
 
 
 def build_su_basis(N: int) -> BasisSet:

@@ -320,6 +320,13 @@ class TestExitCodes:
             ["kappa-thr", "--T", "1e-320", "--format", "csv"],
             ["kappa-thr", "--T", "1e-320", "--N", "3"],
             ["kappa-thr", "--T", "1e-320", "--N", "3", "--format", "csv"],
+            # alpha = 2 sqrt(3) T kappa overflows, and a random grid cannot
+            # sample (-kappa, kappa) when 2 kappa overflows.
+            ["ascent", "--kappa", "1e308", "--start", "zeros"],
+            ["ascent", "--kappa", "1e308"],
+            ["scan", "--kappa", "1e308"],
+            ["rank", "--kappa", "1e308", "--grid-kind", "random"],
+            ["propagate", "--kappa", "1e308", "--grid-kind", "random"],
         ],
     )
     def test_a_report_that_cannot_be_built_or_written_is_a_config_error(

@@ -399,9 +399,10 @@ def patch_last_slice(monkeypatch, name, change):
 class TestSliceCensus2D:
     def test_sweep_covers_range_and_is_continuous(self):
         census = slice_census_2d(-1.4, 1.4, 101)
-        assert len(census.c_values) == 101
-        assert census.c_values[0] == pytest.approx(-1.4)
-        assert census.c_values[-1] == pytest.approx(1.4)
+        c_values = [rec.c for rec in census.per_slice]
+        assert len(c_values) == 101
+        assert c_values[0] == pytest.approx(-1.4)
+        assert c_values[-1] == pytest.approx(1.4)
         maxima = [rec.max_value for rec in census.per_slice]
         jumps = np.abs(np.diff(maxima))
         assert jumps.max() < 10.0 * (2.8 / 100.0)
@@ -431,7 +432,7 @@ class TestSliceCensus2D:
         census = slice_census_2d(-1.4, 1.4, 101, margin=0.15, verify=True)
         assert len(calls) == 1
         reference = np.concatenate([
-            scalar_slice_roots(c, 0.15, 1001) for c in census.c_values
+            scalar_slice_roots(rec.c, 0.15, 1001) for rec in census.per_slice
         ])
         assert reference.size == 202
         assert calls[0].tobytes() == reference.tobytes()

@@ -8,7 +8,6 @@ from landscape_lab import (
     NumericalFault,
     QuantumSystem,
     TangentMap,
-    active_set,
     boundary_cone_surjectivity,
     build_su_basis,
     gradient,
@@ -20,7 +19,7 @@ from landscape_lab import (
     psi_tangent_map,
 )
 from landscape_lab import landscape, qdyn
-from landscape_lab.landscape import _gradient_from
+from landscape_lab.landscape import _active_entries, _at_bounds, _gradient_from
 from landscape_lab.qdyn import (
     _blocks,
     _divided_differences,
@@ -89,6 +88,12 @@ class TestQuantumSystem:
         rho = np.diag([1.5, -0.5])
         with pytest.raises(ValueError):
             QuantumSystem(2, rho, SIGMA_Z)
+
+    @pytest.mark.parametrize("which", ["rho0", "observable"])
+    def test_rejects_nan_entries(self, which):
+        args = {"rho0": STATE_UP, "observable": SIGMA_Z, which: np.full((2, 2), np.nan)}
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            QuantumSystem(2, **args)
 
 
 class TestObjective:
@@ -187,7 +192,6 @@ class TestTangentMap:
         grid = ControlGrid.zeros(0.5, 1.0, 3, 4)
         tm = psi_tangent_map(grid, BASIS2)
         assert tm.rows.shape == (12, 3)
-        assert tm.dim == 2
         # at the zero grid every segment derivative is the same scaled basis
         # coordinate, so row (j, z) only depends on j
         for j in range(3):
@@ -229,12 +233,14 @@ class TestTangentMap:
 
 
 def unblocked_tangent_rows(grid, basis):
-    """The tangent map's rows from one whole-grid _tangent_rows call and one
-    projection onto the basis: the reference the blocked build must match."""
-    lam, V, P = _propagated(grid.values, grid.dt, basis)
-    A = landscape._tangent_rows(lam, V, P, grid.dt, basis)
-    pairing = landscape._real_rows(basis.stack).T
-    return landscape._real_rows(A).reshape(-1, 2 * basis.dim ** 2) @ pairing / np.sqrt(2.0)
+    """The tangent map's rows with a block bound so large that the whole grid
+    is one block: the reference the blocked build must match."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qdyn, "BLOCK_BYTES", 1 << 60)
+        assert len(_blocks(grid.segments, basis.size, basis.dim)) == 1
+        lam, V, P = _propagated(grid.values, grid.dt, basis)
+        rows = landscape._tangent_map_rows(lam, V, P, grid.dt, basis)
+    return rows.reshape(-1, basis.size)
 
 
 def tangent_blocks(basis, Z):
@@ -254,6 +260,19 @@ class TestBlockedTangentMap:
         np.testing.assert_array_equal(
             psi_tangent_map(grid, basis).rows, unblocked_tangent_rows(grid, basis)
         )
+
+    @pytest.mark.parametrize("N,Z,K,blocks", [(8, 20, 3, 20), (2, 4, 10, 1)])
+    def test_a_stack_of_grids_has_each_grids_rows(self, N, Z, K, blocks):
+        # A block counts the matrices of every grid: 3 grids at N = 8 take
+        # one segment a block, and 10 qubit grids (a census block) are one.
+        basis = build_su_basis(N)
+        assert len(_blocks(Z, basis.size * K, N)) == blocks
+        values = np.random.default_rng(K).uniform(-1.0, 1.0, (K, basis.size, Z))
+        lam, V, P = _propagated(values, 1.0 / Z, basis)
+        stack = landscape._tangent_map_rows(lam, V, P, 1.0 / Z, basis)
+        for k in range(K):
+            alone = landscape._tangent_map_rows(lam[k], V[k], P[k], 1.0 / Z, basis)
+            np.testing.assert_array_equal(stack[k], alone)
 
     def test_a_nan_in_a_later_block_names_its_segment(self, monkeypatch):
         # At N = 8 a block holds 4 segments; prefix P_13 enters only segment
@@ -471,7 +490,7 @@ class TestActiveSet:
     def test_detects_sides(self):
         vals = np.array([[1.0, 0.2], [-1.0, 0.0], [0.5, 1.0 - 1e-12]])
         grid = ControlGrid(1.0, 1.0, vals)
-        act = active_set(grid)
+        act = _active_entries(*_at_bounds(grid.values, grid.kappa))
         assert (0, 1, "+") in act
         assert (1, 1, "-") in act
         assert (2, 2, "+") in act
@@ -479,7 +498,7 @@ class TestActiveSet:
 
     def test_interior_grid_empty(self):
         grid = ControlGrid.zeros(1.0, 1.0, 3, 2)
-        assert active_set(grid) == []
+        assert _active_entries(*_at_bounds(grid.values, grid.kappa)) == []
 
 
 class TestBoundaryConeSurjectivity:

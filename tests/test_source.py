@@ -1,11 +1,13 @@
 """Checks on the package source itself, made with the standard library's ast."""
 
 import ast
+import re
 from pathlib import Path
 
 import landscape_lab
 
 SOURCES = sorted(Path(landscape_lab.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def defined_names(tree):
@@ -46,6 +48,15 @@ def imported_names(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
+def public_members(tree):
+    """(class, name) of every public method and property of a module's classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
 def loaded_names(tree):
     """Names a module loads as plain names."""
     for node in ast.walk(tree):
@@ -78,3 +89,21 @@ def test_every_imported_name_is_read_in_its_module():
         unused = set(imported_names(tree)) - set(loaded_names(tree))
         unread += [f"{path.name}: {name}" for name in sorted(unused)]
     assert unread == []
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    # A method or property that the package never reads as an attribute, and
+    # that neither the README nor the benchmark names, is used only by tests.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    docs = [REPO / "README.md", REPO / "bench" / "README.md", *(REPO / "bench").glob("*.py")]
+    named = "\n".join(path.read_text(encoding="utf-8") for path in docs)
+    unused = [
+        f"{owner}.{name}"
+        for tree in trees
+        for owner, name in public_members(tree)
+        if name not in read and not re.search(rf"\b{name}\b", named)
+    ]
+    assert unused == []

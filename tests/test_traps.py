@@ -12,7 +12,6 @@ from landscape_lab import (
     CriticalPointReport,
     NumericalFault,
     QuantumSystem,
-    active_set,
     basin_census,
     boundary_cone_surjectivity,
     boundary_trap_instance,
@@ -113,7 +112,6 @@ class TestSettings:
         # The Armijo fraction and the active-bound and rank tolerances are
         # constants: no parameter sets them.
         assert parameters(local_surjectivity_rank) == (["tm"], {})
-        assert parameters(active_set) == (["grid"], {})
         assert parameters(boundary_cone_surjectivity) == (["grid", "tm"], {})
         assert parameters(landscape._at_bounds) == (["values", "kappa"], {})
         assert parameters(traps._project) == (["g", "at_upper", "at_lower"], {})
@@ -154,6 +152,12 @@ class TestSettings:
             (landscape, "TANGENT_BLOCK_BYTES"),
             (cli, "_demo_system"),
             (landscape, "_segment_products"),
+            (landscape_lab, "active_set"),
+            (landscape, "active_set"),
+            (counterexamples.SliceCensus, "c_values"),
+            (qdyn.PropagationResult, "dim"),
+            (landscape.TangentMap, "dim"),
+            (landscape, "_tangent_rows"),
         ]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
 
@@ -274,6 +278,45 @@ class TestClassifyPoint:
             )
 
 
+def a_based_hessians(system, lam, V, P, dt, basis):
+    """The Hessians of a stack of grids from the complex tangent matrices
+    A_k = -i U_T^dag dU_T/d eps_k: the reference for landscape._hessians,
+    which takes its traces from the tangent map's real rows instead.
+
+    A_(j, z) = -i Q_z^dag (M_z o V_z^dag B_j V_z) Q_z with Q_z = V_z^dag P_{z-1}
+    and M_z = exp(i lam dt) o K_z. The two traces over all pairs are taken
+    on the complex matrices, and the within-segment term by one einsum.
+    """
+    dag = qdyn._dagger
+    (Z, dim), n = lam.shape[-2:], basis.size
+    lead, m = lam.shape[:-2], n * Z
+    Vh = dag(V)[..., None, :, :, :]
+    Q = Vh @ P[..., None, :-1, :, :]
+    Mz = np.exp(1j * dt * lam)[..., :, None] * qdyn._divided_differences(lam, dt)
+    E = Vh @ basis.stack[:, None] @ V[..., None, :, :, :]  # [j, z, a, b]
+    A = (-1j * dag(Q) @ (Mz[..., None, :, :, :] * E) @ Q).reshape(lead + (m, dim, dim))
+    total = P[..., -1, :, :]
+    M = (dag(total) @ system.observable @ total)[..., None, :, :]
+
+    def pairs(X):  # Re Tr[X_k A_l] for all k, l
+        cols = np.swapaxes(A, -1, -2).reshape(lead + (m, dim * dim))
+        return (X.reshape(lead + (m, dim * dim)) @ np.swapaxes(cols, -1, -2)).real
+
+    H = pairs(M @ A @ system.rho0)
+    later = pairs(A @ system.rho0 @ M)
+    z = np.arange(m) % Z
+    later[..., ~(z[:, None] < z[None, :])] = 0.0
+    H -= later + np.swapaxes(later, -1, -2)
+    # Within segment z: Re sum_pqr F_pqr (E^a_pq E^b_qr + E^b_pq E^a_qr) W_rp.
+    F = qdyn._second_divided_differences(lam, dt)
+    W = landscape._eigenbasis_weights(system, V, P)
+    S = np.einsum("...zpqr,...azpq,...bzqr,...zrp->...zab", F, E, E, W, optimize=True).real
+    blocks = H.reshape(lead + (n, Z, n, Z))
+    for z in range(Z):
+        blocks[..., :, z, :, z] += S[..., z, :, :] + np.swapaxes(S[..., z, :, :], -1, -2)
+    return 2.0 * H
+
+
 class TestHessian:
     def test_near_symmetric_on_smooth_instance(self):
         # Exactly symmetric but for the rounding of the traces over all
@@ -309,6 +352,37 @@ class TestHessian:
         system = random_system(3, 3)
         want = column_loop_hessian(system, grid, basis, list(range(40)), 1e-4)
         assert np.max(np.abs(exact_hessian(system, grid, basis) - want)) <= 4e-10
+
+    @pytest.mark.parametrize("N,Z", [(2, 4), (3, 7), (4, 20), (8, 20)])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_matches_the_tangent_matrix_reference(self, N, Z, K):
+        basis = build_su_basis(N)
+        system = random_instance(5)[0] if N == 2 else random_system(N, N)
+        values = np.random.default_rng(N * Z).uniform(-1.0, 1.0, (K, basis.size, Z))
+        lam, V, P = qdyn._propagated(values, 1.0 / Z, basis)
+        want = a_based_hessians(system, lam, V, P, 1.0 / Z, basis)
+        got = landscape._hessians(system, lam, V, P, 1.0 / Z, basis)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_exactly_degenerate_qudit_matches_central_differences(self):
+        # Every segment of the zero grid has one fourfold eigenvalue, so all
+        # divided differences take their tie branch.
+        basis = build_su_basis(4)
+        grid = ControlGrid.zeros(1.0, 1.0, basis.size, 3)
+        system = random_system(4, 4)
+        want = column_loop_hessian(system, grid, basis, list(range(45)), 1e-4)
+        assert np.max(np.abs(exact_hessian(system, grid, basis) - want)) <= 4e-10
+
+    def test_a_nan_in_a_later_block_names_its_segment(self):
+        # The Hessian's tangent rows are checked like the tangent map's: at
+        # N = 8 a block holds 4 segments, and prefix P_13 enters only
+        # segment 14, in the fourth block.
+        basis = build_su_basis(8)
+        grid = ControlGrid.uniform_random(1.0, 1.0, basis.size, 20, np.random.default_rng(0))
+        lam, V, P = qdyn._propagated(grid.values[None], grid.dt, basis)
+        P[0, 13, 0, 0] = np.nan
+        with pytest.raises(NumericalFault, match=r"tangent row \(0, 14\) is not Hermitian"):
+            landscape._hessians(random_system(8, 8), lam, V, P, grid.dt, basis)
 
 
 class TestAscentTrace:
