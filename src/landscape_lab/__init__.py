@@ -47,13 +47,11 @@ from .counterexamples import (
     TrapFreeScan,
     TrapVerification,
     analytic2d_trap_free_scan,
-    boundary_trap_instance,
     corner_escape_analysis,
     slice_census_2d,
     slice_critical_points,
     trap_initial_state,
     trap_observable,
-    verify_boundary_trap,
 )
 
 __version__ = "0.1.0"

@@ -47,11 +47,11 @@ from .traps import (
 )
 from .counterexamples import (
     DEFAULT_MARGIN,
+    BoundaryTrapInstance,
     _trap_qubit,
     analytic2d_trap_free_scan,
-    boundary_trap_instance,
+    corner_escape_analysis,
     slice_census_2d,
-    verify_boundary_trap,
 )
 
 __all__ = ["RunReport", "main", "run"]
@@ -266,16 +266,15 @@ def _cmd_basins(args):
 
 def _cmd_ce_boundary(args):
     kappa = _parse_kappa(args.kappa)
-    inst = boundary_trap_instance(args.T, args.Z, kappa)
+    inst = BoundaryTrapInstance(args.T, args.Z, kappa)
     radius = (
         1e-3 * inst.kappa
         if isinstance(args.radius, str) and args.radius.strip().lower() == "auto"
         else float(args.radius)
     )
-    ver = verify_boundary_trap(inst, args.samples, radius, args.seed)
-    basis = build_su_basis(2)
-    tm = psi_tangent_map(inst.grid, basis)
-    cone_ok, witness = boundary_cone_surjectivity(inst.grid, tm)
+    ver = corner_escape_analysis(
+        inst.system, inst.grid, build_su_basis(2), args.samples, radius, args.seed
+    )
     results = {
         "alpha": inst.alpha,
         "kappa": inst.kappa,
@@ -287,9 +286,9 @@ def _cmd_ce_boundary(args):
         "gradient_norm_at_corner": ver.gradient_norm_at_corner,
         "trap_order": ver.trap_order,
         "kkt_margin": ver.kkt_margin,
-        "corner_unitary": _interleave(propagate(inst.grid, basis).total),
-        "cone_surjective": cone_ok,
-        "witness": None if witness is None else [float(w) for w in witness],
+        "corner_unitary": _interleave(ver.corner_unitary),
+        "cone_surjective": ver.cone_surjective,
+        "witness": None if ver.witness is None else list(ver.witness),
     }
     expect_ok = ver.is_trap if args.expect_trap else True
     return results, expect_ok

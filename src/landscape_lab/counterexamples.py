@@ -18,14 +18,17 @@ import numpy as np
 from .qdyn import BasisSet, ControlGrid, NumericalFault, build_su_basis
 from .landscape import (
     QuantumSystem,
+    TangentMap,
     _at_bounds,
     _evaluated,
     _gradient_from,
     _objective_stack,
+    _tangent_map_rows,
+    boundary_cone_surjectivity,
     kappa_threshold,
     objective_range,
 )
-from .traps import ROOT_TOL, _bisect, _norms
+from .traps import ROOT_TOL, _bisect, _norms, _project
 
 __all__ = [
     "BoundaryTrapInstance",
@@ -35,9 +38,7 @@ __all__ = [
     "TrapFreeScan",
     "trap_observable",
     "trap_initial_state",
-    "boundary_trap_instance",
     "corner_escape_analysis",
-    "verify_boundary_trap",
     "slice_critical_points",
     "slice_census_2d",
     "analytic2d_trap_free_scan",
@@ -131,7 +132,7 @@ class BoundaryTrapInstance:
 
 @dataclass(frozen=True)
 class TrapVerification:
-    """Outcome of the sampled inward-escape test at a corner control.
+    """Outcome of the escape test at a corner control.
 
     trap_order distinguishes a first-order trap (outward gradient bounded
     away from zero) from a second-order one (vanishing gradient, escape
@@ -139,7 +140,8 @@ class TrapVerification:
     the least outward gradient component over the controls at a bound (dJ/d
     eps at +kappa, -dJ/d eps at -kappa), None when none is: at a corner, a
     positive margin makes the grid a strict constrained local maximum by
-    first order alone.
+    first order alone. corner_unitary is the horizon propagator, row by row,
+    and (cone_surjective, witness) the corner's boundary_cone_surjectivity.
     """
 
     is_trap: bool
@@ -149,11 +151,9 @@ class TrapVerification:
     gradient_norm_at_corner: float
     trap_order: int | None
     kkt_margin: float | None
-
-
-def boundary_trap_instance(T: float, Z: int, kappa: float) -> BoundaryTrapInstance:
-    """Assemble the corner-control instance for the given (T, Z, kappa)."""
-    return BoundaryTrapInstance(float(T), int(Z), float(kappa))
+    corner_unitary: tuple
+    cone_surjective: bool
+    witness: tuple | None
 
 
 def corner_escape_analysis(
@@ -164,30 +164,35 @@ def corner_escape_analysis(
     radius: float,
     seed: int,
 ) -> TrapVerification:
-    """Sampled test for a constrained local maximum at a (corner) grid.
+    """Test for a constrained local maximum at a (corner) grid.
 
-    Draws all `samples` probe directions in one call to the seeded
-    generator, one block of grid-shaped normals per probe. A block whose
-    norm is below 1e-12 is skipped and the shortfall is drawn again, so the
-    probes are the first `samples` usable blocks of the normal stream. Each
-    direction is reflected into the inward orthant at active bounds, scaled
-    to the given radius and clipped to the box; the probes are evaluated
-    together, in batched blocks, and the best objective gain is recorded. A
-    trap must show no gain beyond 1e-10 and sit below the attainable maximum
-    by more than 1e-6.
+    A projected gradient (traps._project) with a component above
+    FIRST_ORDER_TOL in size names an admissible coordinate ray that raises J
+    to first order: no trap, whatever the probes find. Otherwise the probes
+    decide. All `samples` probe directions are drawn in one call to the
+    seeded generator, one block of grid-shaped normals per probe. A block
+    whose norm is below 1e-12 is skipped and the shortfall is drawn again,
+    so the probes are the first `samples` usable blocks of the normal
+    stream. Each direction is reflected into the inward orthant at active
+    bounds, scaled to the given radius and clipped to the box; the probes
+    are evaluated together, in batched blocks, and the best objective gain
+    is recorded. A trap must show no gain beyond 1e-10 and sit below the
+    attainable maximum by more than 1e-6. The grid's one kernel pass
+    (_evaluated) also gives its tangent rows, cone verdict and propagator.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if not (radius > 0.0 and np.isfinite(radius)):
         raise ValueError(f"radius must be positive, got {radius}")
-    # One checked kernel pass gives J and the gradient at the corner. The
-    # norm is taken of the z-major view _gradient_from returns, as
+    # The norm is taken of the z-major view _gradient_from returns, as
     # LandscapeGradient.norm takes it: memory order sets its last bit.
     J, lam, V, P = _evaluated(system, grid.values[None], grid.dt, basis)
     grad = _gradient_from(system, lam, V, P, grid.dt, basis)[0]
     grad_norm = np.linalg.norm(grad)
     j_corner = float(J[0])
     j_global_max = objective_range(system).j_max
+    tm = TangentMap(_tangent_map_rows(lam[0], V[0], P[0], grid.dt, basis).reshape(-1, basis.size))
+    cone_ok, witness = boundary_cone_surjectivity(grid, tm)
 
     at_upper, at_lower = _at_bounds(grid.values, grid.kappa)
 
@@ -207,8 +212,10 @@ def corner_escape_analysis(
     max_gain = float(np.max(_objective_stack(system, pert, grid.dt, basis) - j_corner))
 
     outward = np.concatenate([grad[at_upper], -grad[at_lower]])
-    is_trap = (max_gain <= INWARD_GAIN_TOL) and (
-        j_corner < j_global_max - SUBOPTIMALITY_TOL
+    is_trap = (
+        not np.any(np.abs(_project(grad, at_upper, at_lower)) > FIRST_ORDER_TOL)
+        and max_gain <= INWARD_GAIN_TOL
+        and j_corner < j_global_max - SUBOPTIMALITY_TOL
     )
     trap_order = None
     if is_trap:
@@ -221,15 +228,9 @@ def corner_escape_analysis(
         gradient_norm_at_corner=float(grad_norm),
         trap_order=trap_order,
         kkt_margin=float(outward.min()) if outward.size else None,
-    )
-
-
-def verify_boundary_trap(
-    inst: BoundaryTrapInstance, samples: int, radius: float, seed: int
-) -> TrapVerification:
-    """Run the inward-escape test on the assembled corner instance."""
-    return corner_escape_analysis(
-        inst.system, inst.grid, build_su_basis(2), samples, radius, seed
+        corner_unitary=tuple(map(tuple, P[0, -1].tolist())),
+        cone_surjective=cone_ok,
+        witness=None if witness is None else tuple(witness.tolist()),
     )
 
 

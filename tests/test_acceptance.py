@@ -10,11 +10,12 @@ import re
 import numpy as np
 
 from landscape_lab import (
+    BoundaryTrapInstance,
     ControlGrid,
     QuantumSystem,
     boundary_cone_surjectivity,
-    boundary_trap_instance,
     build_su_basis,
+    corner_escape_analysis,
     critical_value_census_1d,
     gradient,
     gradient_ascent,
@@ -24,7 +25,6 @@ from landscape_lab import (
     psi_tangent_map,
     slice_census_2d,
     analytic2d_trap_free_scan,
-    verify_boundary_trap,
 )
 from landscape_lab.cli import main
 
@@ -116,12 +116,12 @@ def test_criterion_2_unitarity_and_range_containment(capsys):
 
 
 def test_criterion_3_corner_control_is_a_boundary_trap(capsys):
-    inst = boundary_trap_instance(1.0, 4, KAPPA)
+    inst = BoundaryTrapInstance(1.0, 4, KAPPA)
     basis = build_su_basis(2)
     U = propagate(inst.grid, basis).total
     minus_identity = float(np.max(np.abs(U + np.eye(2))))
 
-    ver = verify_boundary_trap(inst, 1000, 1e-3 * KAPPA, 2026)
+    ver = corner_escape_analysis(inst.system, inst.grid, basis, 1000, 1e-3 * KAPPA, 2026)
     tm = psi_tangent_map(inst.grid, basis)
     cone_ok, witness = boundary_cone_surjectivity(inst.grid, tm)
 
@@ -208,7 +208,7 @@ def test_criterion_5_one_dimensional_censuses(capsys):
 
 
 def test_criterion_6_trap_halts_ascent_but_interior_starts_escape(capsys):
-    inst = boundary_trap_instance(1.0, 4, KAPPA)
+    inst = BoundaryTrapInstance(1.0, 4, KAPPA)
     basis = build_su_basis(2)
     j_max = np.sqrt(1.5)
 

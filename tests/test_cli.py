@@ -433,6 +433,19 @@ class TestExpectations:
         )
         assert np.max(np.abs(U.reshape(2, 2) + np.eye(2))) < 1e-10
 
+    def test_expect_trap_fails_where_an_inward_ray_ascends(self, tmp_path):
+        # Every sampled probe loses J at this corner, yet moving one control
+        # inward alone gains: the projected gradient is nonzero.
+        code, payload = run_json(
+            tmp_path, "t.json", ["ce-boundary", "--kappa", "1.0", "--expect-trap"]
+        )
+        assert code == 1
+        res = payload["results"]
+        assert res["is_trap"] is False
+        assert res["trap_order"] is None
+        assert res["max_inward_gain"] < 0.0
+        assert res["kkt_margin"] < 0.0
+
     def test_expect_min_grad_passes_at_documented_floor(self, tmp_path):
         code, payload = run_json(
             tmp_path,

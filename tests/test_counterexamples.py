@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from landscape_lab import counterexamples, qdyn
+from landscape_lab import cli, counterexamples, qdyn
 from landscape_lab import (
+    BoundaryTrapInstance,
     ControlGrid,
     NumericalFault,
     QuantumSystem,
     analytic2d_trap_free_scan,
-    boundary_trap_instance,
+    boundary_cone_surjectivity,
     build_su_basis,
     corner_escape_analysis,
     gradient,
@@ -22,7 +23,6 @@ from landscape_lab import (
     slice_critical_points,
     trap_initial_state,
     trap_observable,
-    verify_boundary_trap,
 )
 
 KAPPA = np.pi / np.sqrt(3.0)
@@ -31,7 +31,7 @@ SIGMA_X, SIGMA_Y, SIGMA_Z = BASIS2.elements
 
 
 def reference_instance():
-    return boundary_trap_instance(1.0, 4, KAPPA)
+    return BoundaryTrapInstance(1.0, 4, KAPPA)
 
 
 class TestInstanceConstruction:
@@ -55,14 +55,14 @@ class TestInstanceConstruction:
     def test_segment_duration_condition_rejects_single_segment(self):
         # alpha = 2 pi equals 2 pi Z exactly at Z = 1, which is not allowed
         with pytest.raises(ValueError):
-            boundary_trap_instance(1.0, 1, KAPPA)
+            BoundaryTrapInstance(1.0, 1, KAPPA)
 
     def test_segment_duration_condition_at_the_kappa_threshold(self):
         thr = kappa_threshold(BASIS2, 1.0, 4)
-        inst = boundary_trap_instance(1.0, 4, np.nextafter(thr, 0))
+        inst = BoundaryTrapInstance(1.0, 4, np.nextafter(thr, 0))
         assert inst.alpha < 8.0 * np.pi
         with pytest.raises(ValueError, match="segment duration"):
-            boundary_trap_instance(1.0, 4, thr)
+            BoundaryTrapInstance(1.0, 4, thr)
 
     @pytest.mark.parametrize(
         "T,kappa,message",
@@ -72,10 +72,10 @@ class TestInstanceConstruction:
         # Warnings are errors under the test settings, so a numpy overflow
         # or invalid-value warning would surface here instead.
         with pytest.raises(ValueError, match=message):
-            boundary_trap_instance(T, 4, kappa)
+            BoundaryTrapInstance(T, 4, kappa)
 
     def test_zero_bound_is_a_valid_degenerate_instance(self):
-        inst = boundary_trap_instance(1.0, 4, 0.0)
+        inst = BoundaryTrapInstance(1.0, 4, 0.0)
         assert inst.alpha == 0.0
         assert np.all(inst.grid.values == 0.0)
 
@@ -106,7 +106,8 @@ class TestCornerPropagator:
 
 class TestTrapVerification:
     def test_corner_is_a_first_order_trap(self):
-        v = verify_boundary_trap(reference_instance(), 1000, 1e-3 * KAPPA, 42)
+        inst = reference_instance()
+        v = corner_escape_analysis(inst.system, inst.grid, BASIS2, 1000, 1e-3 * KAPPA, 42)
         assert v.is_trap
         assert abs(v.j_at_corner) < 1e-10
         assert v.j_global_max == pytest.approx(np.sqrt(1.5), abs=1e-12)
@@ -121,7 +122,7 @@ class TestTrapVerification:
         # components are the gradient's entries, all positive: a strict
         # constrained maximum by first order alone.
         inst = reference_instance()
-        v = verify_boundary_trap(inst, 100, 1e-3 * KAPPA, 42)
+        v = corner_escape_analysis(inst.system, inst.grid, BASIS2, 100, 1e-3 * KAPPA, 42)
         g = gradient(inst.system, inst.grid, BASIS2).values
         assert v.kkt_margin == float(np.min(g)) > 0.0
         assert v.kkt_margin == pytest.approx(0.037632, abs=5e-7)
@@ -141,20 +142,17 @@ class TestTrapVerification:
         ],
     )
     def test_the_corner_is_evaluated_in_one_kernel_pass(self, monkeypatch, T, Z, kappa, signs):
-        inst = boundary_trap_instance(T, Z, kappa)
+        inst = BoundaryTrapInstance(T, Z, kappa)
         grid = inst.grid if signs is None else ControlGrid(T, kappa, kappa * np.array(signs))
-        # The reference: J and the gradient, each down its own public path.
-        j_ref = objective(inst.system, propagate(grid, BASIS2).total)
+        # The reference: J, the gradient, the total and the cone verdict,
+        # each down its own public path.
+        U_ref = propagate(grid, BASIS2).total
+        j_ref = objective(inst.system, U_ref)
         g_ref = gradient(inst.system, grid, BASIS2)
+        cone_ref, w_ref = boundary_cone_surjectivity(grid, psi_tangent_map(grid, BASIS2))
         at_upper, at_lower = grid.values > 0.0, grid.values < 0.0
         outward = np.concatenate([g_ref.values[at_upper], -g_ref.values[at_lower]])
-        real, passes = qdyn._segment_kernel, []
-
-        def spy(H, dt):
-            passes.append(H.shape)
-            return real(H, dt)
-
-        monkeypatch.setattr(qdyn, "_segment_kernel", spy)
+        passes = self.spy_kernel(monkeypatch)
         v = corner_escape_analysis(inst.system, grid, BASIS2, 1000, 1e-3 * kappa, 4)
         # One pass for the corner, one for the 1000 probes.
         assert passes == [(1, Z, 2, 2), (1000, Z, 2, 2)]
@@ -163,18 +161,79 @@ class TestTrapVerification:
         assert v.j_at_corner == j_ref
         assert v.gradient_norm_at_corner == g_ref.norm
         assert v.kkt_margin == float(outward.min())
+        assert np.array(v.corner_unitary).tobytes() == U_ref.tobytes()
+        assert v.cone_surjective is cone_ref
+        if w_ref is None:
+            assert v.witness is None
+        else:
+            assert type(v.witness) is tuple
+            assert np.array(v.witness).tobytes() == w_ref.tobytes()
+
+    @staticmethod
+    def spy_kernel(monkeypatch):
+        """Record the shape of every segment-kernel call from now on."""
+        real, passes = qdyn._segment_kernel, []
+
+        def spy(H, dt):
+            passes.append(H.shape)
+            return real(H, dt)
+
+        monkeypatch.setattr(qdyn, "_segment_kernel", spy)
+        return passes
+
+    @pytest.mark.parametrize(
+        "argv,Z,samples",
+        [
+            ([], 4, 1000),
+            (["--Z", "3", "--kappa", "0.5", "--samples", "200", "--seed", "3"], 3, 200),
+        ],
+    )
+    def test_the_command_makes_one_pass_for_the_corner_and_one_for_the_probes(
+        self, monkeypatch, tmp_path, argv, Z, samples
+    ):
+        passes = self.spy_kernel(monkeypatch)
+        out = tmp_path / "ce.json"
+        assert cli.main(["ce-boundary", *argv, "--output", str(out)]) == 0
+        assert passes == [(1, Z, 2, 2), (samples, Z, 2, 2)]
+
+    @pytest.mark.parametrize("kappa", [0.8, 0.85, 0.95, 1.0, 1.05, 1.6])
+    def test_a_corner_with_an_inward_ascent_ray_is_no_trap(self, kappa):
+        # The probes miss the escape here: every probe loses J. But a
+        # negative outward component names a control whose inward move alone
+        # raises J to first order.
+        inst = BoundaryTrapInstance(1.0, 4, kappa)
+        v = corner_escape_analysis(inst.system, inst.grid, BASIS2, 1000, 1e-3 * kappa, 0)
+        assert v.max_inward_gain <= 1e-10
+        assert v.j_at_corner < v.j_global_max - 1e-6
+        assert v.kkt_margin < 0.0
+        assert v.is_trap is False
+        assert v.trap_order is None
+        g = gradient(inst.system, inst.grid, BASIS2).values
+        ray = inst.grid.values.copy()
+        ray[np.unravel_index(np.argmin(g), g.shape)] -= 1e-3 * kappa
+        gain = objective(inst.system, propagate(inst.grid.with_values(ray), BASIS2).total)
+        assert gain > v.j_at_corner
+
+    def test_at_a_zero_bound_no_move_is_admissible_and_the_corner_stays_a_trap(self):
+        # Every control sits at both bounds, so no move is admissible, though
+        # the outward components include negative ones.
+        inst = BoundaryTrapInstance(1.0, 4, 0.0)
+        v = corner_escape_analysis(inst.system, inst.grid, BASIS2, 100, 1e-3, 0)
+        assert v.kkt_margin < 0.0
+        assert v.is_trap is True
+        assert v.trap_order == 1
 
     def test_inward_gain_shrinks_with_radius(self):
         inst = reference_instance()
-        big = verify_boundary_trap(inst, 500, 1e-3 * KAPPA, 42)
-        small = verify_boundary_trap(inst, 500, 1e-4 * KAPPA, 42)
+        big = corner_escape_analysis(inst.system, inst.grid, BASIS2, 500, 1e-3 * KAPPA, 42)
+        small = corner_escape_analysis(inst.system, inst.grid, BASIS2, 500, 1e-4 * KAPPA, 42)
         assert big.max_inward_gain < 0.0
         assert abs(small.max_inward_gain) <= abs(big.max_inward_gain) + 1e-12
 
     def test_seeded_verification_is_reproducible(self):
         inst = reference_instance()
-        a = verify_boundary_trap(inst, 300, 1e-3 * KAPPA, 5)
-        b = verify_boundary_trap(inst, 300, 1e-3 * KAPPA, 5)
+        a = corner_escape_analysis(inst.system, inst.grid, BASIS2, 300, 1e-3 * KAPPA, 5)
+        b = corner_escape_analysis(inst.system, inst.grid, BASIS2, 300, 1e-3 * KAPPA, 5)
         assert a == b
 
     def test_plain_observable_corner_is_no_trap(self):
@@ -189,8 +248,8 @@ class TestTrapVerification:
 
     def test_corner_with_an_inward_escape_is_no_trap(self):
         # at kappa 0.5 the corner sits below the maximum but an inward probe gains
-        inst = boundary_trap_instance(1.0, 4, 0.5)
-        v = verify_boundary_trap(inst, 200, 5e-4, 3)
+        inst = BoundaryTrapInstance(1.0, 4, 0.5)
+        v = corner_escape_analysis(inst.system, inst.grid, BASIS2, 200, 5e-4, 3)
         assert v.max_inward_gain > 1e-10
         assert v.j_at_corner < v.j_global_max - 1e-6
         assert v.is_trap is False

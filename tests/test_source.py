@@ -48,6 +48,21 @@ def imported_names(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
+def exported_names(tree):
+    """The names listed in a module's __all__, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            yield from ast.literal_eval(node.value)
+
+
+def outside_text():
+    """README.md, bench/README.md and the benchmark's scripts, as one text."""
+    docs = [REPO / "README.md", REPO / "bench" / "README.md", *(REPO / "bench").glob("*.py")]
+    return "\n".join(path.read_text(encoding="utf-8") for path in docs)
+
+
 def public_members(tree):
     """(class, name) of every public method and property of a module's classes."""
     for node in tree.body:
@@ -98,12 +113,32 @@ def test_every_public_method_is_used_outside_the_tests():
     read = {
         node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
     }
-    docs = [REPO / "README.md", REPO / "bench" / "README.md", *(REPO / "bench").glob("*.py")]
-    named = "\n".join(path.read_text(encoding="utf-8") for path in docs)
+    named = outside_text()
     unused = [
         f"{owner}.{name}"
         for tree in trees
         for owner, name in public_members(tree)
+        if name not in read and not re.search(rf"\b{name}\b", named)
+    ]
+    assert unused == []
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # A name in a module's __all__ that no module of the package reads (the
+    # re-exporting __init__ aside), and that neither the README nor the
+    # benchmark names, is a public function or class only tests call.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = {
+        name
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for name in read_names(tree)
+    }
+    named = outside_text()
+    unused = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in exported_names(tree)
         if name not in read and not re.search(rf"\b{name}\b", named)
     ]
     assert unused == []

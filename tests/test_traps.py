@@ -7,6 +7,7 @@ import landscape_lab
 from landscape_lab import (
     AscentTrace,
     BasinSampler,
+    BoundaryTrapInstance,
     CLASSIFICATIONS,
     ControlGrid,
     CriticalPointReport,
@@ -14,7 +15,6 @@ from landscape_lab import (
     QuantumSystem,
     basin_census,
     boundary_cone_surjectivity,
-    boundary_trap_instance,
     build_su_basis,
     classify_point,
     critical_value_census_1d,
@@ -158,6 +158,10 @@ class TestSettings:
             (qdyn.PropagationResult, "dim"),
             (landscape.TangentMap, "dim"),
             (landscape, "_tangent_rows"),
+            (landscape_lab, "boundary_trap_instance"),
+            (counterexamples, "boundary_trap_instance"),
+            (landscape_lab, "verify_boundary_trap"),
+            (counterexamples, "verify_boundary_trap"),
         ]
         assert [name for owner, name in gone if hasattr(owner, name)] == []
 
@@ -889,7 +893,7 @@ class TestWarmLadder:
     def test_corner_qubit_runs_match_the_cold_ladder(self, monkeypatch):
         # Census starts 0-49, which are also the 50 starts of acceptance
         # criterion 6, in the census and alone, and criterion 6's corner.
-        inst = boundary_trap_instance(1.0, 4, KAPPA)
+        inst = BoundaryTrapInstance(1.0, 4, KAPPA)
         sampler = BasinSampler(count=50, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
         _, traces = census_traces(monkeypatch, inst.system, BASIS2, sampler)
         for seed, trace in enumerate(traces):
