@@ -20,7 +20,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy
@@ -183,6 +183,8 @@ def _cmd_rank(args):
 
 
 def _cmd_scan(args):
+    if args.steps < 1:
+        raise ValueError(f"need at least one step, got {args.steps}")
     kappa = _parse_kappa(args.kappa)
     basis = build_su_basis(2)
     system, alpha = _trap_qubit(args.T, kappa)
@@ -227,7 +229,7 @@ def _cmd_ascent(args):
     results = {
         "alpha": alpha,
         "kappa": kappa,
-        "iterates": [[i, j, pn] for (i, j, pn) in trace.iterates],
+        "iterates": trace.iterates,
         "converged": trace.converged,
         "terminal": _report_terminal(trace.terminal),
     }
@@ -242,25 +244,7 @@ def _cmd_basins(args):
                            segments=args.Z, horizon=args.T)
     census = basin_census(system, basis, sampler, max_iters=args.max_iters,
                           tol_grad=args.tol_grad)
-    results = {
-        "alpha": alpha,
-        "kappa": kappa,
-        "trapped_fraction": census.trapped_fraction,
-        "success_margin": census.success_margin,
-        "j_max": census.j_max,
-        "runs": [
-            {
-                "index": r.index,
-                "seed": r.seed,
-                "j_terminal": r.j_terminal,
-                "classification": r.classification,
-                "converged": r.converged,
-                "iterations": r.iterations,
-                "trapped": r.trapped,
-            }
-            for r in census.runs
-        ],
-    }
+    results = {"alpha": alpha, "kappa": kappa, **asdict(census)}
     return results, True
 
 
@@ -279,16 +263,8 @@ def _cmd_ce_boundary(args):
         "alpha": inst.alpha,
         "kappa": inst.kappa,
         "radius": radius,
-        "is_trap": ver.is_trap,
-        "j_at_corner": ver.j_at_corner,
-        "max_inward_gain": ver.max_inward_gain,
-        "j_global_max": ver.j_global_max,
-        "gradient_norm_at_corner": ver.gradient_norm_at_corner,
-        "trap_order": ver.trap_order,
-        "kkt_margin": ver.kkt_margin,
+        **asdict(ver),
         "corner_unitary": _interleave(ver.corner_unitary),
-        "cone_surjective": ver.cone_surjective,
-        "witness": None if ver.witness is None else list(ver.witness),
     }
     expect_ok = ver.is_trap if args.expect_trap else True
     return results, expect_ok
@@ -310,14 +286,7 @@ def _cmd_ce_slice(args):
 
 def _cmd_ce_scan2d(args):
     scan = analytic2d_trap_free_scan(args.steps, margin=args.margin)
-    results = {
-        "grid_steps": args.steps,
-        "margin": args.margin,
-        "min_grad_norm": scan.min_grad_norm,
-        "d2_floor_on_d1_zeros": scan.d2_floor_on_d1_zeros,
-        "argmin_e1": scan.argmin_e1,
-        "argmin_e2": scan.argmin_e2,
-    }
+    results = {"grid_steps": args.steps, "margin": args.margin, **asdict(scan)}
     expect_ok = (
         scan.min_grad_norm > args.expect_min_grad
         if args.expect_min_grad is not None
@@ -337,9 +306,7 @@ def _cmd_census1d(args):
     )
     results = {
         "fn": args.fn,
-        "critical_points": list(census.critical_points),
-        "critical_values": list(census.critical_values),
-        "distinct_values": list(census.distinct_values),
+        **asdict(census),
         "num_critical_points": len(census.critical_points),
         "num_distinct_values": len(census.distinct_values),
     }

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qdyn import BasisSet, ControlGrid, NumericalFault, build_su_basis
+from .qdyn import BasisSet, ControlGrid, NumericalFault, _blocks, build_su_basis
 from .landscape import (
     QuantumSystem,
     TangentMap,
     _at_bounds,
     _evaluated,
     _gradient_from,
-    _objective_stack,
     _tangent_map_rows,
     boundary_cone_surjectivity,
     kappa_threshold,
@@ -169,16 +168,18 @@ def corner_escape_analysis(
     A projected gradient (traps._project) with a component above
     FIRST_ORDER_TOL in size names an admissible coordinate ray that raises J
     to first order: no trap, whatever the probes find. Otherwise the probes
-    decide. All `samples` probe directions are drawn in one call to the
-    seeded generator, one block of grid-shaped normals per probe. A block
-    whose norm is below 1e-12 is skipped and the shortfall is drawn again,
-    so the probes are the first `samples` usable blocks of the normal
-    stream. Each direction is reflected into the inward orthant at active
-    bounds, scaled to the given radius and clipped to the box; the probes
-    are evaluated together, in batched blocks, and the best objective gain
-    is recorded. A trap must show no gain beyond 1e-10 and sit below the
-    attainable maximum by more than 1e-6. The grid's one kernel pass
-    (_evaluated) also gives its tangent rows, cone verdict and propagator.
+    decide. The probes are drawn from the seeded generator and evaluated
+    one block at a time, each block holding at most BLOCK_BYTES of segment
+    matrices (_blocks), so memory does not grow with `samples`. A probe is
+    one grid-shaped draw of normals; one whose norm is below 1e-12 is
+    skipped and the block's shortfall is drawn again, so the probes are the
+    first `samples` usable draws of the normal stream, however it is
+    chunked. Each direction is reflected into the inward orthant at active
+    bounds, scaled to the given radius and clipped to the box, and the best
+    objective gain over all blocks is recorded. A trap must show no gain
+    beyond 1e-10 and sit below the attainable maximum by more than 1e-6.
+    The grid's one kernel pass (_evaluated) also gives its tangent rows,
+    cone verdict and propagator.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -197,19 +198,17 @@ def corner_escape_analysis(
     at_upper, at_lower = _at_bounds(grid.values, grid.kappa)
 
     rng = np.random.default_rng(seed)
-    blocks, norms, missing = [], [], samples
-    while missing:
-        v = rng.standard_normal(size=(missing,) + grid.values.shape)
-        nrm = _norms(v)
-        keep = nrm >= 1e-12
-        blocks.append(v[keep])
-        norms.append(nrm[keep])
-        missing -= int(np.count_nonzero(keep))
-    v, nrm = np.concatenate(blocks), np.concatenate(norms)
-    d = np.where(at_upper, -np.abs(v), np.where(at_lower, np.abs(v), v))
-    d *= (radius / nrm)[:, None, None]
-    pert = np.clip(grid.values + d, -grid.kappa, grid.kappa)
-    max_gain = float(np.max(_objective_stack(system, pert, grid.dt, basis) - j_corner))
+    max_gain = -np.inf
+    for b in _blocks(samples, grid.segments, basis.dim):
+        v, n = np.empty((0,) + grid.values.shape), len(range(samples)[b])
+        while len(v) < n:
+            w = rng.standard_normal(size=(n - len(v),) + grid.values.shape)
+            v = np.concatenate([v, w[_norms(w) >= 1e-12]])
+        d = np.where(at_upper, -np.abs(v), np.where(at_lower, np.abs(v), v))
+        d *= (radius / _norms(v))[:, None, None]
+        pert = np.clip(grid.values + d, -grid.kappa, grid.kappa)
+        gain = float(np.max(_evaluated(system, pert, grid.dt, basis)[0] - j_corner))
+        max_gain = max(max_gain, gain)
 
     outward = np.concatenate([grad[at_upper], -grad[at_lower]])
     is_trap = (

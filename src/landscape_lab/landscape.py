@@ -205,17 +205,6 @@ def _evaluated(system: QuantumSystem, values: np.ndarray, dt: float, basis: Basi
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _objective_stack(
-    system: QuantumSystem, values: np.ndarray, dt: float, basis: BasisSet
-) -> np.ndarray:
-    """J at every grid of a (K, size, Z) value stack, as K values, one
-    _evaluated call per block, whose eigenpairs are dropped as it ends."""
-    return np.concatenate([
-        _evaluated(system, values[b], dt, basis)[0]
-        for b in _blocks(len(values), values.shape[-1], basis.dim)
-    ])
-
-
 def objective_range(system: QuantumSystem) -> ObjectiveRange:
     """[j_min, j_max] from increasing-sorted spectra of rho0 and the observable.
 

@@ -187,6 +187,15 @@ class CensusResult1D:
                 raise ValueError("distinct_values must be drawn from critical_values")
 
 
+def _check_tolerance(name: str, value: float, *, positive: bool = False) -> None:
+    """A ValueError unless the tolerance is finite and nonnegative (positive,
+    if so asked): a NaN fails every comparison, so it would stop no ascent
+    and merge any two critical values."""
+    if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+
+
 def _project(g: np.ndarray, at_upper: np.ndarray, at_lower: np.ndarray) -> np.ndarray:
     """Zero the gradient components that point out of the box.
 
@@ -250,6 +259,7 @@ def classify_point(
     Hessian is exact (landscape._hessians), and J, the gradient and the
     Hessian all come from one kernel pass.
     """
+    _check_tolerance("tol_grad", tol_grad)
     J, lam, V, P = _evaluated(system, grid.values[None], grid.dt, basis)
     g = _gradient_from(system, lam, V, P, grid.dt, basis)
     return _classify(system, [grid], J, g, (lam, V, P), basis, tol_grad=tol_grad)[0]
@@ -387,6 +397,7 @@ def _lockstep_ascent(
     diagonalized twice. Runs never mix, and the kernels give a grid the
     same bits in any stack, so each run's iterates are those it has alone.
     """
+    _check_tolerance("tol_grad", tol_grad)
     kappa, dt = starts[0].kappa, starts[0].dt
     scale = kappa if kappa > 0.0 else 1.0
     vals = np.stack([start.values for start in starts])
@@ -603,6 +614,8 @@ def critical_value_census_1d(
         raise ValueError(f"domain must be a finite interval, got ({a}, {b})")
     if grid_points < 2:
         raise ValueError(f"need at least two grid points, got {grid_points}")
+    _check_tolerance("root_tol", root_tol, positive=True)
+    _check_tolerance("merge_tol", merge_tol)
     xs = np.linspace(a, b, grid_points)
     ds = _on(f_prime, xs)
     if not np.all(np.isfinite(ds)):

@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,18 +13,24 @@ import numpy as np
 import pytest
 
 from landscape_lab import (
+    BasinRun,
+    BasinSampler,
+    BoundaryTrapInstance,
     ControlGrid,
     analytic2d_trap_free_scan,
+    basin_census,
     build_su_basis,
+    corner_escape_analysis,
+    critical_value_census_1d,
     gradient,
     kappa_threshold,
     landscape,
     objective,
     propagate,
 )
-from landscape_lab import cli
+from landscape_lab import cli, qdyn
 from landscape_lab.cli import _make_grid, main
-from landscape_lab.counterexamples import _trap_qubit
+from landscape_lab.counterexamples import DEFAULT_MARGIN, _trap_qubit
 
 KAPPA_AUTO = np.pi / np.sqrt(3.0)
 BASIS2 = build_su_basis(2)
@@ -91,6 +99,61 @@ class TestPayloadShape:
         assert payload["results"]["columns"] == ["c1", "c2", "J", "g1", "g2"]
         assert len(payload["results"]["rows"]) == 25
         assert all(len(row) == 5 for row in payload["results"]["rows"])
+
+
+def assert_results_are_the_record(results, record, own):
+    """results holds exactly the record's fields and the command's own keys,
+    each with its value (own before the record's) through a JSON round trip."""
+    names = [f.name for f in dataclasses.fields(record)]
+    assert set(results) == set(names) | set(own)
+    expected = {name: getattr(record, name) for name in names} | own
+    assert results == json.loads(json.dumps(expected))
+
+
+class TestPayloadsAreTheirRecords:
+    @pytest.mark.parametrize("argv,kappa", [([], math.pi / math.sqrt(3.0)), (["--kappa", "1.0"], 1.0)])
+    def test_ce_boundary(self, tmp_path, argv, kappa):
+        code, payload = run_json(tmp_path, "ce.json", ["ce-boundary", *argv])
+        inst = BoundaryTrapInstance(1.0, 4, kappa)
+        ver = corner_escape_analysis(inst.system, inst.grid, BASIS2, 1000, 1e-3 * kappa, 0)
+        own = {"alpha": inst.alpha, "kappa": kappa, "radius": 1e-3 * kappa,
+               "corner_unitary": cli._interleave(ver.corner_unitary)}
+        assert code == 0
+        assert_results_are_the_record(payload["results"], ver, own)
+
+    def test_basins(self, tmp_path):
+        code, payload = run_json(tmp_path, "b.json", ["basins", "--count", "3"])
+        system, alpha = _trap_qubit(1.0, KAPPA_AUTO)
+        sampler = BasinSampler(count=3, seed=0, kappa=KAPPA_AUTO, segments=4, horizon=1.0)
+        census = basin_census(system, BASIS2, sampler)
+        runs = [
+            {f.name: getattr(r, f.name) for f in dataclasses.fields(BasinRun)}
+            for r in census.runs
+        ]
+        assert code == 0
+        for entry in payload["results"]["runs"]:
+            assert set(entry) == {f.name for f in dataclasses.fields(BasinRun)}
+        assert_results_are_the_record(
+            payload["results"], census, {"alpha": alpha, "kappa": KAPPA_AUTO, "runs": runs}
+        )
+
+    def test_ce_scan2d(self, tmp_path):
+        code, payload = run_json(tmp_path, "s.json", ["ce-scan2d", "--steps", "50"])
+        scan = analytic2d_trap_free_scan(50)
+        assert code == 0
+        assert_results_are_the_record(
+            payload["results"], scan, {"grid_steps": 50, "margin": DEFAULT_MARGIN}
+        )
+
+    def test_census1d(self, tmp_path):
+        code, payload = run_json(
+            tmp_path, "c.json", ["census1d", "--fn", "sin", "--a", "0", "--b", "10"]
+        )
+        census = critical_value_census_1d(np.sin, np.cos, (0.0, 10.0), 2001)
+        own = {"fn": "sin", "num_critical_points": len(census.critical_points),
+               "num_distinct_values": len(census.distinct_values)}
+        assert code == 0
+        assert_results_are_the_record(payload["results"], census, own)
 
 
 class TestScan:
@@ -357,6 +420,41 @@ class TestExitCodes:
             f"error: margin must lie in (0, pi/2), got {float(argv[2])}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            # NaN passes no comparison: it would merge J = 1 and J = -1.
+            (["census1d", "--tol-merge", "nan", "--format", "csv"], "merge_tol"),
+            (["census1d", "--tol-merge=-1e-6"], "merge_tol"),
+            (["census1d", "--tol-root", "-1"], "root_tol"),
+            (["census1d", "--tol-root", "nan"], "root_tol"),
+            (["census1d", "--tol-root", "0"], "root_tol"),
+            (["ascent", "--tol-grad", "nan", "--format", "csv"], "tol_grad"),
+            (["ascent", "--tol-grad", "inf"], "tol_grad"),
+            (["basins", "--count", "3", "--tol-grad", "nan", "--format", "csv"], "tol_grad"),
+            (["basins", "--count", "3", "--tol-grad=-1e-9"], "tol_grad"),
+            (["scan", "--steps", "0"], "step"),
+        ],
+    )
+    def test_a_bad_tolerance_or_step_count_fails_before_any_work(
+        self, monkeypatch, capsys, argv, name
+    ):
+        if argv[0] == "census1d":
+            argv = argv[:1] + ["--fn", "sin", "--a", "0", "--b", "10"] + argv[1:]
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise AssertionError("work done before the check")
+
+        monkeypatch.setattr(qdyn, "_segment_kernel", refuse)
+        monkeypatch.setitem(cli.CENSUS_FUNCTIONS, "sin", (refuse, refuse))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and name in lines[0]
+
     @pytest.mark.parametrize("flag,value", [("--T", "inf"), ("--kappa", "1e308")])
     def test_a_bad_instance_input_is_one_error_line(self, flag, value):
         # In a fresh process, so that a numpy warning would reach stderr.
@@ -514,6 +612,17 @@ class TestConfigFile:
     def test_a_value_its_flag_rejects_is_a_config_error(self, tmp_path, capsys, argv, entries):
         assert config_run(tmp_path, argv, entries) == 2
         assert capsys.readouterr().err.startswith("error: config key")
+
+    @pytest.mark.parametrize(
+        "argv,entries,name",
+        [
+            (["basins", "--count", "3"], {"tol_grad": -1}, "tol_grad"),
+            (["census1d", "--fn", "sin", "--a", "0", "--b", "10"], {"tol_root": 0}, "root_tol"),
+        ],
+    )
+    def test_a_configured_tolerance_meets_the_flags_rule(self, tmp_path, capsys, argv, entries, name):
+        assert config_run(tmp_path, argv, entries) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
 
     def test_command_key_rejected(self, tmp_path, capsys):
         assert config_run(tmp_path, ["ce-scan2d"], {"command": "basis"}) == 2

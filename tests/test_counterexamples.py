@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,17 +292,20 @@ class TestTrapVerification:
             perts.append(pert.values)
             gains.append(objective(inst.system, propagate(pert, BASIS2).total) - j_corner)
         stacks = []
-        real_stack = counterexamples._objective_stack
+        real_evaluated = counterexamples._evaluated
 
-        def spy(system, stack, dt, basis):
-            stacks.append(stack)
-            return real_stack(system, stack, dt, basis)
+        def spy(system, values, dt, basis):
+            stacks.append(values)
+            return real_evaluated(system, values, dt, basis)
 
-        monkeypatch.setattr(counterexamples, "_objective_stack", spy)
+        monkeypatch.setattr(counterexamples, "_evaluated", spy)
         v = corner_escape_analysis(inst.system, grid, BASIS2, 1000, radius, seed)
-        assert np.array_equal(stacks[0], np.array(perts))
+        # The first pass is the corner's; the probe blocks follow in stream order.
+        assert np.array_equal(stacks[0], grid.values[None])
+        assert np.array_equal(np.concatenate(stacks[1:]), np.array(perts))
         assert v.max_inward_gain == max(gains)
         assert v.max_inward_gain <= 1e-10
+        return v, [len(s) for s in stacks[1:]]
 
     @pytest.mark.parametrize("zero_first_draw", [False, True])
     def test_batched_probes_match_a_per_probe_loop(self, monkeypatch, zero_first_draw):
@@ -315,6 +319,27 @@ class TestTrapVerification:
         # the end, as in the loop that redraws it on the spot.
         self.zero_probe_block(monkeypatch, 500)
         self.assert_matches_a_per_probe_loop(monkeypatch)
+
+    def test_probe_blocks_give_the_record_of_one_block(self, monkeypatch):
+        # The zero probe 299 is the last of the first block of 300; its
+        # redraw is the stream's next draw, taken before the second block.
+        inst = reference_instance()
+        self.zero_probe_block(monkeypatch, 299)
+        one = corner_escape_analysis(inst.system, inst.grid, BASIS2, 1000, 1e-3 * KAPPA, 42)
+        monkeypatch.setattr(qdyn, "BLOCK_BYTES", 300 * 16 * 4 * 2 * 2)
+        v, sizes = self.assert_matches_a_per_probe_loop(monkeypatch)
+        assert sizes == [300, 300, 300, 100]
+        assert repr(v) == repr(one)
+
+    def test_probe_memory_does_not_grow_with_the_sample_count(self):
+        inst = reference_instance()
+        tracemalloc.start()
+        try:
+            corner_escape_analysis(inst.system, inst.grid, BASIS2, 20000, 1e-3 * KAPPA, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_escape_analysis_argument_errors(self):
         inst = reference_instance()

@@ -1072,3 +1072,35 @@ class TestBlockedHessian:
             assert a.iterates == b.iterates and a.stop_reason == b.stop_reason
             assert a.terminal.hessian_eigenvalues == b.terminal.hessian_eigenvalues
             assert a.terminal.classification == b.terminal.classification
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-12])
+    def test_a_bad_gradient_tolerance_is_refused(self, value):
+        system, grid = corner_system(), corner_grid()
+        sampler = BasinSampler(count=2, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+        for call in (
+            lambda: classify_point(system, grid, BASIS2, tol_grad=value),
+            lambda: gradient_ascent(system, grid, BASIS2, tol_grad=value),
+            lambda: basin_census(system, BASIS2, sampler, tol_grad=value),
+        ):
+            with pytest.raises(ValueError, match="tol_grad must be finite and nonnegative"):
+                call()
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"root_tol": 0.0}, "root_tol"),
+            ({"root_tol": float("nan")}, "root_tol"),
+            ({"merge_tol": float("nan")}, "merge_tol"),
+            ({"merge_tol": -1e-6}, "merge_tol"),
+            ({"merge_tol": float("inf")}, "merge_tol"),
+        ],
+    )
+    def test_a_bad_census_tolerance_is_refused(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            critical_value_census_1d(np.sin, np.cos, (0.0, 10.0), 101, **kwargs)
+
+    def test_a_zero_merge_tolerance_keeps_every_value(self):
+        census = critical_value_census_1d(np.sin, np.cos, (0.0, 10.0), 101, merge_tol=0.0)
+        assert len(census.distinct_values) == len(set(census.critical_values))
