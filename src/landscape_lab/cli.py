@@ -20,7 +20,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -54,32 +54,26 @@ from .counterexamples import (
     slice_census_2d,
 )
 
-__all__ = ["RunReport", "main", "run"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# sinc and its derivative take their limits, 1 and 0, at x = 0.
 CENSUS_FUNCTIONS = {
     "sin": (np.sin, np.cos),
     "sinc": (
-        lambda x: np.sin(x) / x,
-        lambda x: (x * np.cos(x) - np.sin(x)) / x**2,
+        lambda x: np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x)),
+        lambda x: np.where(
+            x == 0.0, 0.0, (x * np.cos(x) - np.sin(x)) / np.where(x == 0.0, 1.0, x) ** 2
+        ),
     ),
     "cubic": (lambda x: x**3 - x, lambda x: 3.0 * x**2 - 1.0),
 }
 
 GRID_KINDS = ("zeros", "corner", "constant", "random")
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """One run's full record: config echo, results and wall time."""
-
-    config: dict
-    results: dict
-    wall_time_s: float
 
 
 def _parse_kappa(value) -> float:
@@ -108,11 +102,7 @@ def _make_grid(kind: str, T: float, kappa: float, num_controls: int, Z: int,
         return ControlGrid.constant(T, kappa, num_controls, Z, kappa)
     if kind == "constant":
         return ControlGrid.constant(T, kappa, num_controls, Z, fill)
-    if kind == "random":
-        return ControlGrid.uniform_random(
-            T, kappa, num_controls, Z, np.random.default_rng(seed)
-        )
-    raise ValueError(f"unknown grid kind {kind!r}")
+    return ControlGrid.uniform_random(T, kappa, num_controls, Z, np.random.default_rng(seed))
 
 
 def _report_terminal(report) -> dict:
@@ -285,6 +275,8 @@ def _cmd_ce_slice(args):
 
 
 def _cmd_ce_scan2d(args):
+    if args.expect_min_grad is not None and not math.isfinite(args.expect_min_grad):
+        raise ValueError(f"--expect-min-grad must be finite, got {args.expect_min_grad}")
     scan = analytic2d_trap_free_scan(args.steps, margin=args.margin)
     results = {"grid_steps": args.steps, "margin": args.margin, **asdict(scan)}
     expect_ok = (
@@ -324,10 +316,10 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
 
-def _add_grid_source(p: argparse.ArgumentParser, kinds=GRID_KINDS,
-                     default="zeros", flag="--grid-kind") -> None:
+def _add_grid_source(p: argparse.ArgumentParser, default="zeros",
+                     flag="--grid-kind") -> None:
     p.add_argument(flag, dest=flag.strip("-").replace("-", "_"),
-                   choices=kinds, default=default)
+                   choices=GRID_KINDS, default=default)
     p.add_argument("--fill", type=float, default=0.0,
                    help="amplitude for --grid-kind constant")
     _add_seed(p)
@@ -544,11 +536,10 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_payload(report: RunReport) -> str:
+def _csv_payload(results: dict) -> str:
     """Tabular CSV when the command produced rows, key/value rows otherwise."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    results = report.results
     if "rows" in results and "columns" in results:
         writer.writerow(results["columns"])
         for row in results["rows"]:
@@ -573,30 +564,20 @@ def _csv_payload(report: RunReport) -> str:
     return buf.getvalue()
 
 
-def _json_payload(report: RunReport) -> str:
+def _json_payload(config: dict, results: dict, wall_time_s: float) -> str:
     payload = {
-        "config": report.config,
-        "results": report.results,
-        "results_hex": _hexify(report.results),
+        "config": config,
+        "results": results,
+        "results_hex": _hexify(results),
         "versions": {
             "landscape_lab": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
-        "wall_time_s": report.wall_time_s,
+        "wall_time_s": wall_time_s,
     }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def run(args: argparse.Namespace) -> tuple:
-    """Dispatch one parsed invocation; returns (RunReport, expect_ok)."""
-    _apply_config_file(args)
-    started = time.perf_counter()
-    results, expect_ok = args.func(args)
-    wall = time.perf_counter() - started
-    report = RunReport(config=_config_echo(args), results=results, wall_time_s=wall)
-    return report, expect_ok
 
 
 def main(argv=None) -> int:
@@ -604,9 +585,13 @@ def main(argv=None) -> int:
     # Building and writing the report can fail too: a non-finite result has
     # no JSON form, and --output may name a directory or a missing one.
     try:
-        report, expect_ok = run(args)
+        _apply_config_file(args)
+        started = time.perf_counter()
+        results, expect_ok = args.func(args)
+        wall = time.perf_counter() - started
         text = (
-            _csv_payload(report) if args.format == "csv" else _json_payload(report)
+            _csv_payload(results) if args.format == "csv"
+            else _json_payload(_config_echo(args), results, wall)
         )
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -27,7 +27,7 @@ from .landscape import (
     kappa_threshold,
     objective_range,
 )
-from .traps import ROOT_TOL, _bisect, _norms, _project
+from .traps import ROOT_TOL, _bracketed_roots, _norms, _project
 
 __all__ = [
     "BoundaryTrapInstance",
@@ -186,7 +186,8 @@ def corner_escape_analysis(
     if not (radius > 0.0 and np.isfinite(radius)):
         raise ValueError(f"radius must be positive, got {radius}")
     # The norm is taken of the z-major view _gradient_from returns, as
-    # LandscapeGradient.norm takes it: memory order sets its last bit.
+    # np.linalg.norm(gradient(...).values) takes it: memory order sets its
+    # last bit.
     J, lam, V, P = _evaluated(system, grid.values[None], grid.dt, basis)
     grad = _gradient_from(system, lam, V, P, grid.dt, basis)[0]
     grad_norm = np.linalg.norm(grad)
@@ -343,21 +344,17 @@ def slice_census_2d(
 def _verify_slices(records: list, margin: float) -> None:
     """Cross-check every slice's closed-form extrema by one bracketing census.
 
-    The slice derivatives on the grid form one (slices, grid_points) table;
-    the sign-change brackets of all slices are bisected together (_bisect),
-    each with its own c, as critical_value_census_1d would bisect them one
-    slice at a time. Each slice must then have exactly 2 critical points,
-    each within the root tolerance and within SLICE_AGREEMENT_TOL of the
-    closed form in location and value.
+    The slice derivatives on the grid form one (slices, grid_points) table,
+    whose roots one _bracketed_roots call finds, bisecting the brackets of
+    all slices together, each with its own c. Each slice must then have
+    exactly 2 critical points, each within the root tolerance and within
+    SLICE_AGREEMENT_TOL of the closed form in location and value.
     """
     lim = _half_width(margin)
     cs = np.array([rec.c for rec in records])
     xs = np.linspace(-lim, lim, SLICE_VERIFY_GRID_POINTS)
     ds = _grad_raw(xs[None, :], cs[:, None])[0]
-    if not np.all(np.isfinite(ds)):
-        raise ValueError("derivative is not finite on the grid")
-    owner, i = np.nonzero(ds[:, :-1] * ds[:, 1:] < 0.0)
-    roots = _bisect(lambda x: _grad_raw(x, cs[owner])[0], xs[i], xs[i + 1], ds[owner, i])
+    roots, owner = _bracketed_roots(lambda x, k: _grad_raw(x, cs[k])[0], xs, ds)
     slopes = _grad_raw(roots, cs[owner])[0]
     values = _eval_raw(roots, cs[owner])
     for k, rec in enumerate(records):

@@ -128,10 +128,6 @@ class LandscapeGradient:
         _check_finite_gradient(vals)
         object.__setattr__(self, "values", _frozen(vals))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
 
 @dataclass(frozen=True)
 class TangentMap:
@@ -393,17 +389,9 @@ def psi_tangent_map(grid: ControlGrid, basis: BasisSet) -> TangentMap:
     return TangentMap(_tangent_map_rows(lam, V, P, grid.dt, basis).reshape(-1, basis.size))
 
 
-def _numerical_rank(s: np.ndarray) -> int:
-    """The number of singular values s (in decreasing order) above RANK_TOL x
-    the largest; 0 when there are none or the largest is 0."""
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
-
-
 def _certified_full_rank(R: np.ndarray) -> bool:
     """True when the eigenvalues of R^T R certify that the m x n matrix R has
-    full column rank as _numerical_rank counts it; False decides nothing.
+    full column rank as _rank_and_null counts it; False decides nothing.
 
     Rounding moves each Gram eigenvalue by about m n u lam_max (u the unit
     roundoff). So lam_min > (GRAM_TOL + m n u) lam_max gives s_min above
@@ -417,16 +405,26 @@ def _certified_full_rank(R: np.ndarray) -> bool:
     return bool(lam[0] > (GRAM_TOL + m * n * np.finfo(float).eps) * lam[-1])
 
 
-def local_surjectivity_rank(tm: TangentMap) -> tuple:
-    """(rank, surjective): singular values above RANK_TOL x largest, vs N^2 - 1.
+def _rank_and_null(R: np.ndarray) -> tuple:
+    """(rank, Q) of the m x n rows R: the number of singular values above
+    RANK_TOL x the largest, and orthonormal rows Q spanning span(R)^perp.
 
     A Gram certificate (_certified_full_rank) settles full rank with no SVD.
+    Otherwise one SVD gives both, with the full V^T only when R has fewer
+    rows than columns, so a tall R costs no square U.
     """
-    n = tm.rows.shape[1]
-    if _certified_full_rank(tm.rows):
-        return n, True
-    rank = _numerical_rank(np.linalg.svd(tm.rows, compute_uv=False))
-    return rank, rank == n
+    n = R.shape[1]
+    if _certified_full_rank(R):
+        return n, np.empty((0, n))
+    _, s, vt = np.linalg.svd(R, full_matrices=len(R) < n)
+    rank = int(np.sum(s > RANK_TOL * s.max(initial=0.0)))
+    return rank, vt[rank:]
+
+
+def local_surjectivity_rank(tm: TangentMap) -> tuple:
+    """(rank, surjective): the rank of the rows (_rank_and_null) vs N^2 - 1."""
+    rank = _rank_and_null(tm.rows)[0]
+    return rank, rank == tm.rows.shape[1]
 
 
 def _at_bounds(values: np.ndarray, kappa: float) -> tuple:
@@ -458,14 +456,14 @@ def boundary_cone_surjectivity(grid: ControlGrid, tm: TangentMap) -> tuple:
     those at a bound, signed s = +1 at +kappa and -1 at -kappa, their image
     is the convex cone span(F) + cone{-G_k}. It is decided, with no sampling:
 
-    1. rank F = n (as local_surjectivity_rank counts it, by the Gram
-       certificate first and the SVD only if it fails): surjective. With no
-       bound rows and rank F < n, the witness is a unit vector normal to
-       span(F).
-    2. Let Q span span(F)^perp, w solve (G Q^T) w = 1 in least squares with
-       least norm, and w_hat = Q^T w / |w|. If min_k G_k . w_hat exceeds
-       CONE_RESIDUAL_TOL x max_k |G_k|, every image v has w_hat . v <= 0, so
-       the unit vector w_hat is outside the cone and is the witness.
+    1. rank F = n (_rank_and_null: the Gram certificate first, the SVD only
+       if it fails): surjective. With no bound rows and rank F < n, the
+       witness is a unit vector normal to span(F).
+    2. Let Q span span(F)^perp (_rank_and_null), w solve (G Q^T) w = 1 in
+       least squares with least norm, and w_hat = Q^T w / |w|. If
+       min_k G_k . w_hat exceeds CONE_RESIDUAL_TOL x max_k |G_k|, every
+       image v has w_hat . v <= 0, so the unit vector w_hat is outside the
+       cone and is the witness.
     3. Otherwise one HiGHS feasibility LP per target +e_1 .. +e_m, -e_1 ..
        -e_m of Q's coordinates; the first infeasible one, lifted back by
        Q^T, is the witness. A feasible answer must reproduce its target to
@@ -479,17 +477,10 @@ def boundary_cone_surjectivity(grid: ControlGrid, tm: TangentMap) -> tuple:
     R = tm.rows
     n = R.shape[1]
     at_upper, at_lower = (m.ravel() for m in _at_bounds(grid.values, grid.kappa))
-    F = R[~(at_upper | at_lower)]
-    if _certified_full_rank(F):
-        return True, None
-    G = np.concatenate([R[at_upper & ~at_lower], -R[at_lower & ~at_upper]])
-    # Full V^T only when F has fewer rows than columns, so a tall F costs no
-    # square U.
-    _, s, vt = np.linalg.svd(F, full_matrices=len(F) < n)
-    rank = _numerical_rank(s)
+    rank, Q = _rank_and_null(R[~(at_upper | at_lower)])
     if rank == n:
         return True, None
-    Q = vt[rank:]  # orthonormal rows spanning span(F)^perp
+    G = np.concatenate([R[at_upper & ~at_lower], -R[at_lower & ~at_upper]])
     if len(G) == 0:
         return False, Q[0]
     Gq = G @ Q.T

@@ -330,9 +330,8 @@ def _report(
             else:
                 cls = "interior-saddle"
         else:
-            outward = np.array(
-                [g[j, z - 1] if side == "+" else -g[j, z - 1] for (j, z, side) in act]
-            )
+            # '+' at both bounds (kappa = 0), as _active_entries has it.
+            outward = np.where(at_upper, g, -g)[at_upper | at_lower]
             if n_pos == 0 and np.all(outward >= -tol_grad):
                 cls = "boundary-trap-max" if trapped else "boundary-max"
             elif n_neg == 0 and np.all(outward <= tol_grad):
@@ -589,6 +588,28 @@ def _bisect(f_prime, lo: np.ndarray, hi: np.ndarray, dlo: np.ndarray) -> np.ndar
     return 0.5 * (lo + hi)
 
 
+def _bracketed_roots(f_prime, xs: np.ndarray, ds: np.ndarray) -> tuple:
+    """(roots, owner): every bracketed root of f', bisected in one lockstep.
+
+    ds holds f' on the grid xs, one row or one row per function of a stack,
+    and must be finite. Along the last axis, a strict sign change between
+    neighbouring nodes brackets a root, and so does a node where f' is
+    exactly 0 between neighbours of opposite sign (the bracket spans both
+    neighbours); a tangential zero or a constant stretch brackets none.
+    All brackets are bisected together (_bisect), f_prime(x, owner) giving
+    f' at the points x of the rows owner. The roots come row by row, in
+    increasing order within a row.
+    """
+    if not np.all(np.isfinite(ds)):
+        raise ValueError("derivative is not finite on the grid")
+    table = np.atleast_2d(ds)
+    node = np.zeros(table[:, 1:].shape, dtype=bool)
+    node[:, :-1] = (table[:, 1:-1] == 0.0) & (table[:, :-2] * table[:, 2:] < 0.0)
+    owner, i = np.nonzero((table[:, :-1] * table[:, 1:] < 0.0) | node)
+    hi = xs[i + 1 + node[owner, i]]
+    return _bisect(lambda x: f_prime(x, owner), xs[i], hi, table[owner, i]), owner
+
+
 def critical_value_census_1d(
     f,
     f_prime,
@@ -602,12 +623,13 @@ def critical_value_census_1d(
 
     f and f_prime are called on arrays (a scalar result is broadcast): f'
     once on the whole grid and once per bisection round on the midpoints of
-    all brackets (_bisect), then f' and f on the roots. Only strict sign
-    changes are bracketed, so tangential (non-crossing) zeros of f' and
-    constant stretches yield no critical points; a grid too coarse to
-    separate neighbouring roots merges them silently. Values within
-    merge_tol of each other collapse into one distinct value, and a root
-    must leave |f'| below root_tol.
+    all brackets (_bracketed_roots), then f' and f on the roots. A strict
+    sign change between neighbouring nodes is bracketed, and so is a node
+    where f' is exactly 0 between neighbours of opposite sign. Tangential
+    (non-crossing) zeros of f' and constant stretches yield no critical
+    points; a grid too coarse to separate neighbouring roots merges them
+    silently. Values within merge_tol of each other collapse into one
+    distinct value, and a root must leave |f'| below root_tol.
     """
     a, b = float(domain[0]), float(domain[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -617,12 +639,7 @@ def critical_value_census_1d(
     _check_tolerance("root_tol", root_tol, positive=True)
     _check_tolerance("merge_tol", merge_tol)
     xs = np.linspace(a, b, grid_points)
-    ds = _on(f_prime, xs)
-    if not np.all(np.isfinite(ds)):
-        raise ValueError("derivative is not finite on the grid")
-
-    i = np.flatnonzero(ds[:-1] * ds[1:] < 0.0)
-    roots = _bisect(f_prime, xs[i], xs[i + 1], ds[i])
+    roots = _bracketed_roots(lambda x, _: f_prime(x), xs, _on(f_prime, xs))[0]
     off = np.flatnonzero(~(np.abs(_on(f_prime, roots)) < root_tol))
     if off.size:
         raise NumericalFault(

@@ -434,6 +434,8 @@ class TestExitCodes:
             (["basins", "--count", "3", "--tol-grad", "nan", "--format", "csv"], "tol_grad"),
             (["basins", "--count", "3", "--tol-grad=-1e-9"], "tol_grad"),
             (["scan", "--steps", "0"], "step"),
+            (["ce-scan2d", "--expect-min-grad", "nan", "--format", "csv"], "--expect-min-grad"),
+            (["ce-scan2d", "--expect-min-grad", "inf"], "--expect-min-grad"),
         ],
     )
     def test_a_bad_tolerance_or_step_count_fails_before_any_work(
@@ -448,6 +450,7 @@ class TestExitCodes:
             raise AssertionError("work done before the check")
 
         monkeypatch.setattr(qdyn, "_segment_kernel", refuse)
+        monkeypatch.setattr(cli, "analytic2d_trap_free_scan", refuse)
         monkeypatch.setitem(cli.CENSUS_FUNCTIONS, "sin", (refuse, refuse))
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -618,6 +621,7 @@ class TestConfigFile:
         [
             (["basins", "--count", "3"], {"tol_grad": -1}, "tol_grad"),
             (["census1d", "--fn", "sin", "--a", "0", "--b", "10"], {"tol_root": 0}, "root_tol"),
+            (["ce-scan2d"], {"expect_min_grad": "nan"}, "--expect-min-grad"),
         ],
     )
     def test_a_configured_tolerance_meets_the_flags_rule(self, tmp_path, capsys, argv, entries, name):
@@ -699,6 +703,10 @@ class TestConfigFile:
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json", encoding="utf-8")
         assert main(["ce-scan2d", "--config", str(cfg)]) == 2
+
+    def test_a_config_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys):
+        assert config_run(tmp_path, ["ce-scan2d"], [1, 2]) == 2
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["ce-scan2d", "--config", str(tmp_path / "absent.json")]) == 2
@@ -820,6 +828,23 @@ class TestStdout:
         assert payload["results"]["kappa_thr"] == pytest.approx(
             4.0 * np.pi / np.sqrt(3.0)
         )
+
+    def test_sinc_over_zero_takes_its_limits(self):
+        # In a fresh process, so that a numpy warning would reach stderr.
+        src = os.path.dirname(os.path.dirname(landscape.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "landscape_lab", "census1d", "--fn", "sinc",
+             "--a", "-20", "--b", "20"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        res = json.loads(proc.stdout)["results"]
+        points, values = res["critical_points"], res["critical_values"]
+        assert res["num_critical_points"] == 11
+        assert points == [-p for p in reversed(points)]
+        assert values == list(reversed(values))
+        assert (points[5], values[5]) == (0.0, 1.0)
 
     def test_census_counts_on_stdout(self, capsys):
         code = main(["census1d", "--fn", "sin", "--a", "-20", "--b", "20"])

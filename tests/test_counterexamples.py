@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from landscape_lab import cli, counterexamples, qdyn
+from landscape_lab import cli, counterexamples, qdyn, traps
 from landscape_lab import (
     BoundaryTrapInstance,
     ControlGrid,
@@ -160,7 +160,7 @@ class TestTrapVerification:
         assert type(v.is_trap) is bool
         assert type(v.j_at_corner) is float
         assert v.j_at_corner == j_ref
-        assert v.gradient_norm_at_corner == g_ref.norm
+        assert v.gradient_norm_at_corner == np.linalg.norm(g_ref.values)
         assert v.kkt_margin == float(outward.min())
         assert np.array(v.corner_unitary).tobytes() == U_ref.tobytes()
         assert v.cone_surjective is cone_ref
@@ -506,13 +506,13 @@ class TestSliceCensus2D:
     def test_lockstep_roots_match_slice_by_slice_bisection(self, monkeypatch):
         # Criterion 4's 101 slices: the one lockstep bisection must give every
         # root the bits of the scalar census that bisected one slice at a time.
-        real, calls = counterexamples._bisect, []
+        real, calls = traps._bisect, []
 
         def spy(*args):
             calls.append(real(*args))
             return calls[-1]
 
-        monkeypatch.setattr(counterexamples, "_bisect", spy)
+        monkeypatch.setattr(traps, "_bisect", spy)
         census = slice_census_2d(-1.4, 1.4, 101, margin=0.15, verify=True)
         assert len(calls) == 1
         reference = np.concatenate([
@@ -523,6 +523,15 @@ class TestSliceCensus2D:
 
     def test_third_sign_change_on_one_slice_is_a_fault(self, monkeypatch):
         patch_last_slice(monkeypatch, "_grad_raw", lambda d1, e1: d1 * (e1 - 1.25))
+        with pytest.raises(NumericalFault, match=r"slice c=0\.8 census found 3"):
+            slice_census_2d(-0.8, 0.8, 9, verify=True)
+
+    def test_third_root_on_a_grid_node_is_a_fault(self, monkeypatch):
+        # The same third critical point, placed on node 900 of the check
+        # grid, where the derivative is exactly 0.
+        lim = np.pi / 2.0 - counterexamples.DEFAULT_MARGIN
+        xs = np.linspace(-lim, lim, counterexamples.SLICE_VERIFY_GRID_POINTS)
+        patch_last_slice(monkeypatch, "_grad_raw", lambda d1, e1: d1 * (e1 - xs[900]))
         with pytest.raises(NumericalFault, match=r"slice c=0\.8 census found 3"):
             slice_census_2d(-0.8, 0.8, 9, verify=True)
 

@@ -1,7 +1,9 @@
 """Checks on the package source itself, made with the standard library's ast."""
 
 import ast
+import importlib
 import re
+import types
 from pathlib import Path
 
 import landscape_lab
@@ -63,6 +65,61 @@ def outside_text():
     return "\n".join(path.read_text(encoding="utf-8") for path in docs)
 
 
+def readme_code():
+    """The code spans and fenced blocks of README.md and bench/README.md, as one text."""
+    code = []
+    for path in (REPO / "README.md", REPO / "bench" / "README.md"):
+        text = path.read_text(encoding="utf-8")
+        code += re.findall(r"^```.*?^```", text, flags=re.S | re.M)
+        text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+        code += re.findall(r"`[^`]+`", text)
+    return "\n".join(code)
+
+
+def module_bindings(tree, package):
+    """The modules a source file binds to names by its imports. A module
+    that cannot be loaded here stands as an empty one."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.name if alias.asname else alias.name.split(".")[0]
+                try:
+                    modules[alias.asname or name] = importlib.import_module(name)
+                except ImportError:
+                    modules[alias.asname or name] = types.ModuleType(name)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = importlib.import_module("." * node.level + (node.module or ""), package)
+            for alias in node.names:
+                value = getattr(source, alias.name, None)
+                if isinstance(value, types.ModuleType):
+                    modules[alias.asname or alias.name] = value
+    return modules
+
+
+def module_named(node, modules):
+    """The module an expression names through the bindings, or None."""
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if isinstance(node, ast.Attribute):
+        value = getattr(module_named(node.value, modules), node.attr, None)
+        if isinstance(value, types.ModuleType):
+            return value
+    return None
+
+
+def attributes_read(path, package=None):
+    """The attribute names a source file reads, except those it reads on a
+    module (np.linalg.norm reads no method called norm)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = module_bindings(tree, package)
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and module_named(node.value, modules) is None
+    }
+
+
 def public_members(tree):
     """(class, name) of every public method and property of a module's classes."""
     for node in tree.body:
@@ -107,17 +164,18 @@ def test_every_imported_name_is_read_in_its_module():
 
 
 def test_every_public_method_is_used_outside_the_tests():
-    # A method or property that the package never reads as an attribute, and
-    # that neither the README nor the benchmark names, is used only by tests.
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
-    read = {
-        node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-    }
-    named = outside_text()
+    # A method or property that neither the package nor the benchmark reads
+    # as an attribute of an object, and that no code in the READMEs names, is
+    # used only by tests.
+    read = set().union(
+        *(attributes_read(path, "landscape_lab") for path in SOURCES),
+        *(attributes_read(path) for path in (REPO / "bench").glob("*.py")),
+    )
+    named = readme_code()
     unused = [
         f"{owner}.{name}"
-        for tree in trees
-        for owner, name in public_members(tree)
+        for path in SOURCES
+        for owner, name in public_members(ast.parse(path.read_text(encoding="utf-8")))
         if name not in read and not re.search(rf"\b{name}\b", named)
     ]
     assert unused == []

@@ -579,6 +579,20 @@ class TestCensus1D:
         assert res.critical_points == (0.0,)
         assert res.critical_values == (0.0,)
 
+    def test_a_root_on_a_grid_node_is_found(self):
+        # cos peaks at node 1000 of the grid, where -sin is exactly 0 and
+        # its neighbours have opposite signs.
+        res = critical_value_census_1d(np.cos, lambda x: -np.sin(x), (-10.0, 10.0), 2001)
+        assert 0.0 in res.critical_points
+        assert res.critical_points == pytest.approx(np.pi * np.arange(-3, 4), abs=1e-9)
+
+    @pytest.mark.parametrize("grid_points", [3, 2001])
+    def test_a_parabola_peaking_on_the_middle_node(self, grid_points):
+        res = critical_value_census_1d(
+            lambda x: -x**2, lambda x: -2.0 * x, (-1.0, 1.0), grid_points
+        )
+        assert res.critical_points == pytest.approx([0.0], abs=1e-15)
+
     def test_jump_is_not_a_root(self):
         # sign(x) changes sign at 0 but never gets near 0: the bisected
         # "root" leaves |f'| = 1, far above the root tolerance.
