@@ -76,22 +76,29 @@ CENSUS_FUNCTIONS = {
 GRID_KINDS = ("zeros", "corner", "constant", "random")
 
 
-def _parse_kappa(value) -> float:
-    if isinstance(value, str) and value.strip().lower() == "auto":
-        return math.pi / math.sqrt(3.0)
-    kappa = float(value)
-    if kappa < 0.0 or not math.isfinite(kappa):
-        raise ValueError(f"bound must be nonnegative and finite, got {kappa}")
-    return kappa
+def _auto_or_number(flag: str, value: str, auto: float, *, positive: bool = False) -> float:
+    """The number a flag that takes 'auto' gives: auto for 'auto', else its
+    text read as a float. It must be finite and nonnegative (positive, if so
+    asked); otherwise a ValueError names the flag."""
+    is_auto = value.strip().lower() == "auto"
+    try:
+        number = auto if is_auto else float(value)
+    except ValueError:
+        raise ValueError(f"{flag} must be 'auto' or a number, got {value!r}") from None
+    if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        given = f"auto, which is {number} here" if is_auto else number
+        raise ValueError(f"{flag} must be finite and {kind}, got {given}")
+    return number
+
+
+def _parse_kappa(value: str) -> float:
+    return _auto_or_number("--kappa", value, math.pi / math.sqrt(3.0))
 
 
 def _interleave(M: np.ndarray) -> list:
     """Complex matrix as a flat row-major (re, im) float list."""
-    out = []
-    for v in np.asarray(M, dtype=complex).ravel():
-        out.append(float(v.real))
-        out.append(float(v.imag))
-    return out
+    return np.ascontiguousarray(M, dtype=complex).ravel().view(float).tolist()
 
 
 def _make_grid(kind: str, T: float, kappa: float, num_controls: int, Z: int,
@@ -129,10 +136,8 @@ def _cmd_basis(args):
 
 
 def _cmd_kappa_thr(args):
-    basis = build_su_basis(args.N)
-    thr = kappa_threshold(basis, args.T, args.Z)
-    results = {"kappa_thr": thr, "conservative": args.N > 2}
-    return results, True
+    thr = kappa_threshold(build_su_basis(args.N), args.T, args.Z)
+    return {"kappa_thr": thr, "conservative": args.N > 2}, True
 
 
 def _cmd_propagate(args):
@@ -241,11 +246,7 @@ def _cmd_basins(args):
 def _cmd_ce_boundary(args):
     kappa = _parse_kappa(args.kappa)
     inst = BoundaryTrapInstance(args.T, args.Z, kappa)
-    radius = (
-        1e-3 * inst.kappa
-        if isinstance(args.radius, str) and args.radius.strip().lower() == "auto"
-        else float(args.radius)
-    )
+    radius = _auto_or_number("--radius", args.radius, 1e-3 * inst.kappa, positive=True)
     ver = corner_escape_analysis(
         inst.system, inst.grid, build_su_basis(2), args.samples, radius, args.seed
     )
@@ -256,8 +257,7 @@ def _cmd_ce_boundary(args):
         **asdict(ver),
         "corner_unitary": _interleave(ver.corner_unitary),
     }
-    expect_ok = ver.is_trap if args.expect_trap else True
-    return results, expect_ok
+    return results, not args.expect_trap or ver.is_trap
 
 
 def _cmd_ce_slice(args):
@@ -279,12 +279,7 @@ def _cmd_ce_scan2d(args):
         raise ValueError(f"--expect-min-grad must be finite, got {args.expect_min_grad}")
     scan = analytic2d_trap_free_scan(args.steps, margin=args.margin)
     results = {"grid_steps": args.steps, "margin": args.margin, **asdict(scan)}
-    expect_ok = (
-        scan.min_grad_norm > args.expect_min_grad
-        if args.expect_min_grad is not None
-        else True
-    )
-    return results, expect_ok
+    return results, args.expect_min_grad is None or scan.min_grad_norm > args.expect_min_grad
 
 
 def _cmd_census1d(args):
@@ -305,11 +300,20 @@ def _cmd_census1d(args):
     return results, True
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default=None, help="write the report here")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--config", default=None,
-                   help="JSON file whose entries override flags")
+def _command(sub, name: str, func, help: str, *, N: bool = False,
+             horizon: bool = False, kappa: str | None = None) -> argparse.ArgumentParser:
+    """The subparser of a command that runs func, with the shared flags it asks
+    for first: --N, then --T and --Z (horizon), then --kappa and its default."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    if N:
+        p.add_argument("--N", type=int, default=2)
+    if horizon:
+        p.add_argument("--T", type=float, default=1.0)
+        p.add_argument("--Z", type=int, default=4)
+    if kappa is not None:
+        p.add_argument("--kappa", default=kappa)
+    return p
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -352,71 +356,40 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("basis", help="su(N) generator basis")
-    p.add_argument("--N", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(func=_cmd_basis)
+    _command(sub, "basis", _cmd_basis, "su(N) generator basis", N=True)
 
-    p = sub.add_parser("kappa-thr", help="segment-duration bound threshold")
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--Z", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=_cmd_kappa_thr)
+    _command(sub, "kappa-thr", _cmd_kappa_thr, "segment-duration bound threshold",
+             N=True, horizon=True)
 
-    p = sub.add_parser("propagate", help="piecewise-constant propagation")
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--Z", type=int, default=4)
-    p.add_argument("--kappa", default="1.0")
+    p = _command(sub, "propagate", _cmd_propagate, "piecewise-constant propagation",
+                 N=True, horizon=True, kappa="1.0")
     _add_grid_source(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_propagate)
 
-    p = sub.add_parser("rank", help="tangent-map rank and cone test")
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--Z", type=int, default=4)
-    p.add_argument("--kappa", default="1.0")
+    p = _command(sub, "rank", _cmd_rank, "tangent-map rank and cone test",
+                 N=True, horizon=True, kappa="1.0")
     _add_grid_source(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("scan", help="objective and gradient over 2 coordinates")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--Z", type=int, default=4)
-    p.add_argument("--kappa", default="auto")
+    p = _command(sub, "scan", _cmd_scan, "objective and gradient over 2 coordinates",
+                 horizon=True, kappa="auto")
     p.add_argument("--steps", type=int, default=41)
     p.add_argument("--coord1", type=_coord, default=(1, 1),
                    help="first scanned coordinate as 'j,z' (1-based)")
     p.add_argument("--coord2", type=_coord, default=(2, 1))
     _add_grid_source(p, default="corner", flag="--base")
-    _add_common(p)
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("ascent", help="projected gradient ascent")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--Z", type=int, default=4)
-    p.add_argument("--kappa", default="auto")
+    p = _command(sub, "ascent", _cmd_ascent, "projected gradient ascent",
+                 horizon=True, kappa="auto")
     _add_grid_source(p, default="random", flag="--start")
     _add_ascent_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ascent)
 
-    p = sub.add_parser("basins", help="multistart basin census")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--Z", type=int, default=4)
-    p.add_argument("--kappa", default="auto")
+    p = _command(sub, "basins", _cmd_basins, "multistart basin census",
+                 horizon=True, kappa="auto")
     p.add_argument("--count", type=int, default=50)
     _add_seed(p)
     _add_ascent_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_basins)
 
-    p = sub.add_parser("ce-boundary", help="corner-trap construction and test")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--Z", type=int, default=4)
-    p.add_argument("--kappa", default="auto")
+    p = _command(sub, "ce-boundary", _cmd_ce_boundary, "corner-trap construction and test",
+                 horizon=True, kappa="auto")
     p.add_argument("--samples", type=int, default=1000,
                    help="inward escape probes")
     p.add_argument("--radius", default="auto",
@@ -424,28 +397,22 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-trap", action="store_true",
                    help="exit 1 unless the corner verifies as a trap")
     _add_seed(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ce_boundary)
 
-    p = sub.add_parser("ce-slice", help="per-slice extrema of the 2D landscape")
+    p = _command(sub, "ce-slice", _cmd_ce_slice, "per-slice extrema of the 2D landscape")
     p.add_argument("--c-min", type=float, default=-1.4)
     p.add_argument("--c-max", type=float, default=1.4)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument("--verify", action="store_true",
                    help="cross-check closed forms by bracketing census")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ce_slice)
 
-    p = sub.add_parser("ce-scan2d", help="gradient-norm floor of the 2D landscape")
+    p = _command(sub, "ce-scan2d", _cmd_ce_scan2d, "gradient-norm floor of the 2D landscape")
     p.add_argument("--steps", type=int, default=400)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument("--expect-min-grad", type=float, default=None,
                    help="exit 1 unless min_grad_norm exceeds this")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ce_scan2d)
 
-    p = sub.add_parser("census1d", help="critical points and values of a 1D function")
+    p = _command(sub, "census1d", _cmd_census1d, "critical points and values of a 1D function")
     # Required; _cmd_census1d checks them after --config, which may supply them.
     p.add_argument("--fn", choices=sorted(CENSUS_FUNCTIONS))
     p.add_argument("--a", type=float)
@@ -453,8 +420,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=2001)
     p.add_argument("--tol-root", type=float, default=ROOT_TOL)
     p.add_argument("--tol-merge", type=float, default=MERGE_TOL)
-    _add_common(p)
-    p.set_defaults(func=_cmd_census1d)
+
+    # Every command ends with the same three flags.
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write the report here")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--config", default=None,
+                       help="JSON file whose entries override flags")
 
     return parser
 
@@ -502,15 +474,11 @@ def _config_value(key: str, value, action: argparse.Action):
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func", "output", "format", "config"}
-    echo = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        echo[key] = value
-    return echo
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in vars(args).items()
+        if key not in ("func", "output", "format", "config")
+    }
 
 
 def _hexify(obj):

@@ -44,9 +44,7 @@ __all__ = [
     "DEFAULT_MARGIN",
 ]
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI_X, PAULI_Y, PAULI_Z = build_su_basis(2).elements
 
 INWARD_GAIN_TOL = 1e-10
 SUBOPTIMALITY_TOL = 1e-6

@@ -257,12 +257,10 @@ def classify_point(
     otherwise. boundary-trap-min requires the active components all inert
     (<= tol_grad). Mixed boundary cases are labelled boundary-saddle. The
     Hessian is exact (landscape._hessians), and J, the gradient and the
-    Hessian all come from one kernel pass.
+    Hessian all come from one kernel pass: this is the terminal report of
+    an ascent of zero steps.
     """
-    _check_tolerance("tol_grad", tol_grad)
-    J, lam, V, P = _evaluated(system, grid.values[None], grid.dt, basis)
-    g = _gradient_from(system, lam, V, P, grid.dt, basis)
-    return _classify(system, [grid], J, g, (lam, V, P), basis, tol_grad=tol_grad)[0]
+    return _lockstep_ascent(system, [grid], basis, max_iters=0, tol_grad=tol_grad)[0].terminal
 
 
 def _classify(
@@ -397,6 +395,8 @@ def _lockstep_ascent(
     same bits in any stack, so each run's iterates are those it has alone.
     """
     _check_tolerance("tol_grad", tol_grad)
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     kappa, dt = starts[0].kappa, starts[0].dt
     scale = kappa if kappa > 0.0 else 1.0
     vals = np.stack([start.values for start in starts])
@@ -408,7 +408,7 @@ def _lockstep_ascent(
     # Each run's stop reason, "" while it runs.
     stop = np.full(len(starts), "", dtype=object)
     stop[_gradient_converged(pnorm, tol_grad)] = "grad"
-    if max_iters <= 0:
+    if max_iters == 0:
         stop[stop == ""] = "max-iters"
     iters = np.zeros(len(starts), dtype=int)
     # Run r's line search tries the steps s0 2^-(rung[r] + i), i from pos[r] on.

@@ -245,6 +245,13 @@ def test_criterion_7_cli_determinism(capsys, tmp_path):
         ("basins.json", ["basins", "--count", "4", "--seed", "3"]),
         ("rank.json", ["rank", "--grid-kind", "corner", "--kappa", "auto",
                        "--seed", "1"]),
+        ("basis.json", ["basis", "--N", "3"]),
+        ("kappa_thr.json", ["kappa-thr", "--N", "3"]),
+        ("propagate.json", ["propagate", "--N", "3", "--Z", "7", "--grid-kind",
+                            "random", "--seed", "5"]),
+        ("scan.json", ["scan", "--steps", "9"]),
+        ("ascent.json", ["ascent", "--seed", "3"]),
+        ("scan2d.json", ["ce-scan2d", "--steps", "50"]),
     ]
     wall_line = re.compile(r'^\s*"wall_time_s": .*$', flags=re.MULTILINE)
     all_ok = True

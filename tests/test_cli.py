@@ -31,6 +31,7 @@ from landscape_lab import (
 from landscape_lab import cli, qdyn
 from landscape_lab.cli import _make_grid, main
 from landscape_lab.counterexamples import DEFAULT_MARGIN, _trap_qubit
+from landscape_lab.traps import GRAD_TOL, MAX_ITERS, MERGE_TOL, ROOT_TOL
 
 KAPPA_AUTO = np.pi / np.sqrt(3.0)
 BASIS2 = build_su_basis(2)
@@ -436,6 +437,12 @@ class TestExitCodes:
             (["scan", "--steps", "0"], "step"),
             (["ce-scan2d", "--expect-min-grad", "nan", "--format", "csv"], "--expect-min-grad"),
             (["ce-scan2d", "--expect-min-grad", "inf"], "--expect-min-grad"),
+            (["ascent", "--max-iters", "-1", "--start", "corner"], "max_iters"),
+            (["basins", "--count", "2", "--max-iters", "-5"], "max_iters"),
+            (["ce-boundary", "--kappa", "abc"], "--kappa must be 'auto' or a number"),
+            (["ce-boundary", "--radius", "abc"], "--radius must be 'auto' or a number"),
+            # --radius auto is 1e-3 kappa, so it is 0 at kappa = 0.
+            (["ce-boundary", "--kappa", "0"], "--radius must be finite and positive, got auto"),
         ],
     )
     def test_a_bad_tolerance_or_step_count_fails_before_any_work(
@@ -576,7 +583,48 @@ OPTIONS = {
 }
 
 
+# The default of each option, in the order of the options; every subcommand
+# then ends with --output, --format and --config.
+DEFAULTS = {
+    "basis": {"--N": 2},
+    "kappa-thr": {"--N": 2, "--T": 1.0, "--Z": 4},
+    "propagate": {"--N": 2, "--T": 1.0, "--Z": 4, "--kappa": "1.0", "--grid-kind": "zeros",
+                  "--fill": 0.0, "--seed": 0},
+    "rank": {"--N": 2, "--T": 1.0, "--Z": 4, "--kappa": "1.0", "--grid-kind": "zeros",
+             "--fill": 0.0, "--seed": 0},
+    "scan": {"--T": 1.0, "--Z": 4, "--kappa": "auto", "--steps": 41, "--coord1": (1, 1),
+             "--coord2": (2, 1), "--base": "corner", "--fill": 0.0, "--seed": 0},
+    "ascent": {"--T": 1.0, "--Z": 4, "--kappa": "auto", "--start": "random", "--fill": 0.0,
+               "--seed": 0, "--max-iters": MAX_ITERS, "--tol-grad": GRAD_TOL},
+    "basins": {"--T": 1.0, "--Z": 4, "--kappa": "auto", "--count": 50, "--seed": 0,
+               "--max-iters": MAX_ITERS, "--tol-grad": GRAD_TOL},
+    "ce-boundary": {"--T": 1.0, "--Z": 4, "--kappa": "auto", "--samples": 1000,
+                    "--radius": "auto", "--expect-trap": False, "--seed": 0},
+    "ce-slice": {"--c-min": -1.4, "--c-max": 1.4, "--steps": 101,
+                 "--margin": DEFAULT_MARGIN, "--verify": False},
+    "ce-scan2d": {"--steps": 400, "--margin": DEFAULT_MARGIN, "--expect-min-grad": None},
+    "census1d": {"--fn": None, "--a": None, "--b": None, "--grid-points": 2001,
+                 "--tol-root": ROOT_TOL, "--tol-merge": MERGE_TOL},
+}
+
+
 class TestSurface:
+    def test_each_option_has_its_default_and_the_common_flags_come_last(self):
+        (sub,) = [
+            a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        common = {"--output": None, "--format": "json", "--config": None}
+        # repr tells 1.0 from 1 and "1.0" from 1.0.
+        found = {
+            name: [(a.option_strings[-1], repr(a.default)) for a in p._actions
+                   if a.dest != "help"]
+            for name, p in sub.choices.items()
+        }
+        assert found == {
+            name: [(s, repr(d)) for s, d in {**table, **common}.items()]
+            for name, table in DEFAULTS.items()
+        }
+
     def test_each_subcommand_takes_exactly_its_options(self):
         (sub,) = [
             a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -622,11 +670,13 @@ class TestConfigFile:
             (["basins", "--count", "3"], {"tol_grad": -1}, "tol_grad"),
             (["census1d", "--fn", "sin", "--a", "0", "--b", "10"], {"tol_root": 0}, "root_tol"),
             (["ce-scan2d"], {"expect_min_grad": "nan"}, "--expect-min-grad"),
+            (["basins", "--count", "2"], {"max_iters": -3}, "max_iters"),
         ],
     )
     def test_a_configured_tolerance_meets_the_flags_rule(self, tmp_path, capsys, argv, entries, name):
         assert config_run(tmp_path, argv, entries) == 2
-        assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+        rule = "an integer >= 0" if name == "max_iters" else "finite"
+        assert capsys.readouterr().err.startswith(f"error: {name} must be {rule}")
 
     def test_command_key_rejected(self, tmp_path, capsys):
         assert config_run(tmp_path, ["ce-scan2d"], {"command": "basis"}) == 2

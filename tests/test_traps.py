@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -1100,6 +1101,34 @@ class TestTolerances:
         ):
             with pytest.raises(ValueError, match="tol_grad must be finite and nonnegative"):
                 call()
+
+    @pytest.mark.parametrize("value", [-1, -5, 2.5])
+    def test_a_negative_or_fractional_step_cap_is_refused_before_any_work(
+        self, monkeypatch, value
+    ):
+        def refuse(*args):
+            raise AssertionError("work done before the check")
+
+        system, grid = corner_system(), corner_grid()
+        sampler = BasinSampler(count=2, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+        monkeypatch.setattr(qdyn, "_segment_kernel", refuse)
+        for call in (
+            lambda: gradient_ascent(system, grid, BASIS2, max_iters=value),
+            lambda: basin_census(system, BASIS2, sampler, max_iters=value),
+        ):
+            with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):
+                call()
+
+    def test_a_zero_step_ascent_is_classify_point(self):
+        system = corner_system()
+        start = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(3))
+        trace = gradient_ascent(system, start, BASIS2, max_iters=0)
+        assert (trace.iterations, trace.stop_reason) == (0, "max-iters")
+        report = classify_point(system, start, BASIS2)
+        assert np.array_equal(trace.terminal.location.values, report.location.values)
+        assert dataclasses.replace(trace.terminal, location=start) == dataclasses.replace(
+            report, location=start
+        )
 
     @pytest.mark.parametrize(
         "kwargs,name",
