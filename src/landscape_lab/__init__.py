@@ -32,7 +32,6 @@ from .traps import (
     AscentTrace,
     BasinCensusResult,
     BasinRun,
-    BasinSampler,
     CensusResult1D,
     CriticalPointReport,
     basin_census,
@@ -42,7 +41,6 @@ from .traps import (
 )
 from .counterexamples import (
     BoundaryTrapInstance,
-    SliceCensus,
     SliceExtrema,
     TrapFreeScan,
     TrapVerification,

@@ -40,7 +40,6 @@ from .traps import (
     MAX_ITERS,
     MERGE_TOL,
     ROOT_TOL,
-    BasinSampler,
     basin_census,
     critical_value_census_1d,
     gradient_ascent,
@@ -190,6 +189,8 @@ def _cmd_scan(args):
     for (j, z) in ((j1, z1), (j2, z2)):
         if not (1 <= j <= basis.size and 1 <= z <= args.Z):
             raise ValueError(f"coordinate ({j}, {z}) outside the control grid")
+    if (j1, z1) == (j2, z2):
+        raise ValueError(f"--coord1 and --coord2 must differ, both are ({j1}, {z1})")
     axis = np.linspace(-kappa, kappa, args.steps)
     c1, c2 = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
     stack = np.repeat(grid.values[None], c1.size, axis=0)
@@ -235,9 +236,8 @@ def _cmd_basins(args):
     kappa = _parse_kappa(args.kappa)
     basis = build_su_basis(2)
     system, alpha = _trap_qubit(args.T, kappa)
-    sampler = BasinSampler(count=args.count, seed=args.seed, kappa=kappa,
-                           segments=args.Z, horizon=args.T)
-    census = basin_census(system, basis, sampler, max_iters=args.max_iters,
+    census = basin_census(system, basis, count=args.count, seed=args.seed, kappa=kappa,
+                          segments=args.Z, horizon=args.T, max_iters=args.max_iters,
                           tol_grad=args.tol_grad)
     results = {"alpha": alpha, "kappa": kappa, **asdict(census)}
     return results, True
@@ -261,14 +261,14 @@ def _cmd_ce_boundary(args):
 
 
 def _cmd_ce_slice(args):
-    census = slice_census_2d(args.c_min, args.c_max, args.steps,
+    slices = slice_census_2d(args.c_min, args.c_max, args.steps,
                              margin=args.margin, verify=args.verify)
     results = {
         "margin": args.margin,
         "columns": ["c", "max_loc", "max_val", "min_loc", "min_val"],
         "rows": [
             [r.c, r.max_location, r.max_value, r.min_location, r.min_value]
-            for r in census.per_slice
+            for r in slices
         ],
     }
     return results, True

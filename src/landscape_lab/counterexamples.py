@@ -33,7 +33,6 @@ __all__ = [
     "BoundaryTrapInstance",
     "TrapVerification",
     "SliceExtrema",
-    "SliceCensus",
     "TrapFreeScan",
     "trap_observable",
     "trap_initial_state",
@@ -41,7 +40,6 @@ __all__ = [
     "slice_critical_points",
     "slice_census_2d",
     "analytic2d_trap_free_scan",
-    "DEFAULT_MARGIN",
 ]
 
 PAULI_X, PAULI_Y, PAULI_Z = build_su_basis(2).elements
@@ -169,12 +167,12 @@ def corner_escape_analysis(
     decide. The probes are drawn from the seeded generator and evaluated
     one block at a time, each block holding at most BLOCK_BYTES of segment
     matrices (_blocks), so memory does not grow with `samples`. A probe is
-    one grid-shaped draw of normals; one whose norm is below 1e-12 is
-    skipped and the block's shortfall is drawn again, so the probes are the
-    first `samples` usable draws of the normal stream, however it is
-    chunked. Each direction is reflected into the inward orthant at active
-    bounds, scaled to the given radius and clipped to the box, and the best
-    objective gain over all blocks is recorded. A trap must show no gain
+    one grid-shaped draw of normals, and the probes are the first `samples`
+    draws of the normal stream, however it is chunked; a draw of norm
+    exactly 0 (odds below 1e-36, as a grid has at least 3 entries) is a
+    NumericalFault. Each direction is reflected into the inward orthant at
+    active bounds, scaled to the given radius and clipped to the box, and
+    the best objective gain over all blocks is recorded. A trap must show no gain
     beyond 1e-10 and sit below the attainable maximum by more than 1e-6.
     The grid's one kernel pass (_evaluated) also gives its tangent rows,
     cone verdict and propagator.
@@ -199,12 +197,12 @@ def corner_escape_analysis(
     rng = np.random.default_rng(seed)
     max_gain = -np.inf
     for b in _blocks(samples, grid.segments, basis.dim):
-        v, n = np.empty((0,) + grid.values.shape), len(range(samples)[b])
-        while len(v) < n:
-            w = rng.standard_normal(size=(n - len(v),) + grid.values.shape)
-            v = np.concatenate([v, w[_norms(w) >= 1e-12]])
+        v = rng.standard_normal(size=(len(range(samples)[b]),) + grid.values.shape)
+        norms = _norms(v)
+        if not norms.all():
+            raise NumericalFault("an escape probe drew a direction of norm 0")
         d = np.where(at_upper, -np.abs(v), np.where(at_lower, np.abs(v), v))
-        d *= (radius / _norms(v))[:, None, None]
+        d *= (radius / norms)[:, None, None]
         pert = np.clip(grid.values + d, -grid.kappa, grid.kappa)
         gain = float(np.max(_evaluated(system, pert, grid.dt, basis)[0] - j_corner))
         max_gain = max(max_gain, gain)
@@ -265,13 +263,6 @@ class SliceExtrema:
 
 
 @dataclass(frozen=True)
-class SliceCensus:
-    """Per-slice interior extrema over a range of constraint values c."""
-
-    per_slice: tuple
-
-
-@dataclass(frozen=True)
 class TrapFreeScan:
     """Minimum gradient norm over a grid scan of the open square, with the
     closed-form floor of d2 where d1 vanishes (D2_FLOOR_ON_D1_ZEROS)."""
@@ -318,8 +309,8 @@ def slice_census_2d(
     steps: int,
     margin: float = DEFAULT_MARGIN,
     verify: bool = False,
-) -> SliceCensus:
-    """Interior extrema for every slice c on a uniform range.
+) -> tuple:
+    """Interior extrema (SliceExtrema) for every slice c on a uniform range.
 
     With verify=True each closed-form extremum is cross-checked against an
     independent bracketing census of the slice derivative; disagreement
@@ -332,11 +323,11 @@ def slice_census_2d(
     lim = _half_width(margin)
     if not (abs(c_min) <= lim and abs(c_max) <= lim):
         raise ValueError("slice range leaves the margin-restricted domain")
-    cs = np.linspace(c_min, c_max, steps) if steps > 1 else np.array([c_min])
+    cs = np.linspace(c_min, c_max, steps)
     records = [slice_critical_points(float(c), margin) for c in cs]
     if verify:
         _verify_slices(records, margin)
-    return SliceCensus(tuple(records))
+    return tuple(records)
 
 
 def _verify_slices(records: list, margin: float) -> None:

@@ -522,10 +522,7 @@ def kappa_threshold(basis: BasisSet, T: float, Z: int) -> float:
     if basis.dim == 2:
         thr = np.pi * Z / (math.sqrt(3.0) * T)
     else:
-        spread = 0.0
-        for B in basis.elements:
-            lam = np.linalg.eigvalsh(B)
-            spread += float(lam[-1] - lam[0])
+        spread = sum(np.ptp(np.linalg.eigvalsh(np.array(basis.elements)), axis=1).tolist())
         thr = 2.0 * np.pi * Z / (T * spread)
     if not math.isfinite(thr):
         raise ValueError(f"horizon {T} is too short: the kappa threshold overflows")

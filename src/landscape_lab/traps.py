@@ -28,7 +28,6 @@ __all__ = [
     "CriticalPointReport",
     "AscentTrace",
     "CensusResult1D",
-    "BasinSampler",
     "BasinRun",
     "BasinCensusResult",
     "CLASSIFICATIONS",
@@ -54,8 +53,11 @@ CLASSIFICATIONS = (
 DEGENERATE_RANGE_WIDTH = 1e-15
 
 # Bound on the rounding error of a computed objective value, in units of
-# eps |J|. J is a trace through Z segment exponentials; on the corner-trap
-# qubit its error against 40-digit arithmetic stays below 11 of these units.
+# eps |O|, with |O| the largest |eigenvalue| of the observable: J is a trace
+# through Z segment exponentials, and its error scales with O, not with J,
+# which vanishes at the corner trap. On the corner-trap qubit, against
+# 40-digit arithmetic at the corner and 200 random grids, the worst error is
+# 5.9 of these units at Z = 4 and 11.0 at Z = 20, but 18.1 at Z = 100.
 OBJECTIVE_ROUNDING_ULPS = 16.0
 
 # Default iteration cap of an ascent.
@@ -87,9 +89,10 @@ MAX_BACKTRACKS = 60
 SUCCESS_MARGIN = 1e-4
 
 
-def _objective_rounding(j_value: float) -> float:
-    """Largest change of J that rounding alone can account for."""
-    return OBJECTIVE_ROUNDING_ULPS * np.finfo(float).eps * abs(j_value)
+def _objective_rounding(system: QuantumSystem) -> float:
+    """Largest change of J that rounding alone can account for, on system."""
+    obs_norm = float(np.max(np.abs(np.linalg.eigvalsh(system.observable))))
+    return OBJECTIVE_ROUNDING_ULPS * np.finfo(float).eps * obs_norm
 
 
 @dataclass(frozen=True)
@@ -264,30 +267,29 @@ def classify_point(
 
 
 def _classify(
-    system: QuantumSystem, grids: list, js, gs, eigen: tuple, basis: BasisSet, *,
-    tol_grad: float,
+    system: QuantumSystem, starts: list, vals: np.ndarray, js, gs, pnorms,
+    eigen: tuple, basis: BasisSet, *, tol_grad: float,
 ) -> list:
-    """classify_point at each of equally shaped grids, given J, the gradient
-    and the (lam, V, P) of _evaluated there.
+    """classify_point at the stacked control values vals, one grid each of
+    equally shaped starts, given J, the gradient, the projected gradient
+    norm and the (lam, V, P) of _evaluated there.
 
     The at-bound masks of all grids are taken once. The Hessians come from
     one _hessians call per block of grids holding at most BLOCK_BYTES of
     tangent rows (_blocks), so only one block's Hessians are held at a time;
     each is reduced to its eigenvalues on the free coordinates.
     """
-    kappa, dt = grids[0].kappa, grids[0].dt
-    values = np.stack([grid.values for grid in grids])
-    at_upper, at_lower = _at_bounds(values, kappa)
-    free = ~(at_upper | at_lower).reshape(len(grids), -1)
-    rng_range = objective_range(system)
+    at_upper, at_lower = _at_bounds(vals, starts[0].kappa)
+    free = ~(at_upper | at_lower).reshape(len(vals), -1)
+    rng_range, rounding = objective_range(system), _objective_rounding(system)
     reports = []
-    for b in _blocks(len(grids), values[0].size, basis.dim):
-        hessians = _hessians(system, *(e[b] for e in eigen), dt, basis)
-        for r, H in zip(range(len(grids))[b], hessians):
+    for b in _blocks(len(vals), vals[0].size, basis.dim):
+        hessians = _hessians(system, *(e[b] for e in eigen), starts[0].dt, basis)
+        for r, H in zip(range(len(vals))[b], hessians):
             f, j = np.flatnonzero(free[r]), float(js[r])
             reports.append(_report(
-                grids[r], j, gs[r], H[np.ix_(f, f)], at_upper[r], at_lower[r], tol_grad,
-                _trapped(j, rng_range),
+                starts[r].with_values(vals[r]), j, gs[r], float(pnorms[r]), H[np.ix_(f, f)],
+                at_upper[r], at_lower[r], tol_grad, rounding, _trapped(j, rng_range),
             ))
     return reports
 
@@ -300,19 +302,19 @@ def _trapped(j_value: float, rng_range: ObjectiveRange) -> bool:
 
 
 def _report(
-    grid: ControlGrid, j_value: float, g: np.ndarray, H: np.ndarray,
-    at_upper: np.ndarray, at_lower: np.ndarray, tol_grad: float, trapped: bool,
+    grid: ControlGrid, j_value: float, g: np.ndarray, pnorm: float, H: np.ndarray,
+    at_upper: np.ndarray, at_lower: np.ndarray, tol_grad: float, rounding: float,
+    trapped: bool,
 ) -> CriticalPointReport:
-    """classify_point's label from J, the gradient, the free Hessian, the
-    grid's at-bound masks and whether J is short of the attainable maximum
+    """classify_point's label from J, the gradient and its projected norm,
+    the free Hessian, the grid's at-bound masks, the rounding of J
+    (_objective_rounding) and whether J is short of the attainable maximum
     (_trapped)."""
     act = tuple(_active_entries(at_upper, at_lower))
-    pg = _project(g, at_upper, at_lower)
-    pnorm = float(np.linalg.norm(pg))
     eigs = np.linalg.eigvalsh((H + H.T) / 2.0) if H.size else np.empty(0)
     n_pos, n_neg, n_zero = _eigenvalue_signs(eigs)
     if eigs.size:
-        floor = 2.0 * float(np.max(np.abs(eigs))) * _objective_rounding(j_value)
+        floor = 2.0 * float(np.max(np.abs(eigs))) * rounding
         tol_grad = max(tol_grad, floor**0.5)
 
     if pnorm > tol_grad:
@@ -398,7 +400,7 @@ def _lockstep_ascent(
     if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     kappa, dt = starts[0].kappa, starts[0].dt
-    scale = kappa if kappa > 0.0 else 1.0
+    rounding = _objective_rounding(system)
     vals = np.stack([start.values for start in starts])
     J, lam, V, P = _evaluated(system, vals, dt, basis)
     g = _gradient_from(system, lam, V, P, dt, basis)
@@ -417,11 +419,11 @@ def _lockstep_ascent(
     while (stop == "").any():
         runs = np.flatnonzero(stop == "")
         ladder = 0.5 ** (rung[runs, None] + pos[runs, None] + np.arange(LINE_SEARCH_CHUNK))
-        steps = scale / pnorm[runs, None] * ladder
+        steps = kappa / pnorm[runs, None] * ladder
         v, gr = vals[runs, None], g[runs, None]
         cands = np.clip(v + steps[:, :, None, None] * pg[runs, None], -kappa, kappa)
         predicted = (gr * (cands - v)).reshape(cands.shape[:2] + (-1,)).sum(axis=2)
-        cut = predicted <= _objective_rounding(J[runs, None])
+        cut = predicted <= rounding
         live = np.cumsum(cut, axis=1) == 0
         passed = np.zeros_like(live)
         Jc = np.zeros(live.shape)
@@ -456,29 +458,11 @@ def _lockstep_ascent(
             traces[r].append((int(iters[r]), float(J[r]), float(pnorm[r])))
         stop[won[iters[won] >= max_iters]] = "max-iters"
         stop[won[_gradient_converged(pnorm[won], tol_grad)]] = "grad"
-    grids = [start.with_values(v) for start, v in zip(starts, vals)]
-    reports = _classify(system, grids, J, g, (lam, V, P), basis, tol_grad=tol_grad)
+    reports = _classify(system, starts, vals, J, g, pnorm, (lam, V, P), basis, tol_grad=tol_grad)
     return [
         AscentTrace(tuple(trace), str(why), report)
         for trace, why, report in zip(traces, stop, reports)
     ]
-
-
-@dataclass(frozen=True)
-class BasinSampler:
-    """Uniform start sampling plan for the basin census."""
-
-    count: int
-    seed: int
-    kappa: float
-    segments: int
-    horizon: float
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"need at least one run, got {self.count}")
-        if self.segments < 1:
-            raise ValueError(f"need at least one segment, got {self.segments}")
 
 
 @dataclass(frozen=True)
@@ -507,29 +491,33 @@ class BasinCensusResult:
 def basin_census(
     system: QuantumSystem,
     basis: BasisSet,
-    sampler: BasinSampler,
     *,
+    count: int,
+    seed: int,
+    kappa: float,
+    segments: int,
+    horizon: float,
     max_iters: int = MAX_ITERS,
     tol_grad: float = GRAD_TOL,
 ) -> BasinCensusResult:
     """Multistart ascent statistics: which fraction fails to reach j_max?
 
-    Run i draws its start uniformly from the box with seed sampler.seed + i,
-    so the census is reproducible and each run is independent. A run counts
-    as trapped when its terminal J is below j_max - success_margin, with
-    success_margin = SUCCESS_MARGIN x (j_max - j_min). A degenerate range
-    (j_min = j_max) reports trapped_fraction 0 by convention.
+    Run i draws its start uniformly from the box [-kappa, kappa] on a grid
+    of the given horizon and segments, with seed seed + i, so the census is
+    reproducible and each run is independent. A run counts as trapped when
+    its terminal J is below j_max - success_margin, with success_margin =
+    SUCCESS_MARGIN x (j_max - j_min). A degenerate range (j_min = j_max)
+    reports trapped_fraction 0 by convention.
     """
+    if count < 1:
+        raise ValueError(f"need at least one run, got {count}")
+    if segments < 1:
+        raise ValueError(f"need at least one segment, got {segments}")
     rng_range = objective_range(system)
-
-    seeds = [sampler.seed + i for i in range(sampler.count)]
+    seeds = [seed + i for i in range(count)]
     starts = [
         ControlGrid.uniform_random(
-            sampler.horizon,
-            sampler.kappa,
-            basis.size,
-            sampler.segments,
-            np.random.default_rng(run_seed),
+            horizon, kappa, basis.size, segments, np.random.default_rng(run_seed)
         )
         for run_seed in seeds
     ]
@@ -546,7 +534,7 @@ def basin_census(
         )
         for i, (run_seed, trace) in enumerate(zip(seeds, traces))
     ]
-    trapped_fraction = sum(r.trapped for r in runs) / sampler.count
+    trapped_fraction = sum(r.trapped for r in runs) / count
     return BasinCensusResult(
         trapped_fraction=float(trapped_fraction),
         success_margin=float(SUCCESS_MARGIN * rng_range.width),

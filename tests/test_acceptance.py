@@ -149,10 +149,10 @@ def test_criterion_4_analytic_2d_landscape(capsys):
 
     census = slice_census_2d(-1.4, 1.4, 101, margin=0.15, verify=True)
     worst_loc = 0.0
-    for rec in census.per_slice:
+    for rec in census:
         expected_loc = float(np.arctan(-np.sqrt(np.cos(rec.c) / 3.0)))
         worst_loc = max(worst_loc, abs(rec.max_location - expected_loc))
-    center = census.per_slice[50]
+    center = census[50]
     center_err = abs(center.max_value - 4.0 / (3.0 * np.sqrt(3.0) * np.pi))
     census_ok = worst_loc <= 1e-8 and center_err <= 1e-9
 

@@ -14,7 +14,6 @@ import pytest
 
 from landscape_lab import (
     BasinRun,
-    BasinSampler,
     BoundaryTrapInstance,
     ControlGrid,
     analytic2d_trap_free_scan,
@@ -125,8 +124,8 @@ class TestPayloadsAreTheirRecords:
     def test_basins(self, tmp_path):
         code, payload = run_json(tmp_path, "b.json", ["basins", "--count", "3"])
         system, alpha = _trap_qubit(1.0, KAPPA_AUTO)
-        sampler = BasinSampler(count=3, seed=0, kappa=KAPPA_AUTO, segments=4, horizon=1.0)
-        census = basin_census(system, BASIS2, sampler)
+        census = basin_census(system, BASIS2, count=3, seed=0, kappa=KAPPA_AUTO,
+                              segments=4, horizon=1.0)
         runs = [
             {f.name: getattr(r, f.name) for f in dataclasses.fields(BasinRun)}
             for r in census.runs
@@ -443,6 +442,9 @@ class TestExitCodes:
             (["ce-boundary", "--radius", "abc"], "--radius must be 'auto' or a number"),
             # --radius auto is 1e-3 kappa, so it is 0 at kappa = 0.
             (["ce-boundary", "--kappa", "0"], "--radius must be finite and positive, got auto"),
+            # The c2 write would overwrite c1, so c1 would never be applied.
+            (["scan", "--steps", "3", "--coord1", "1,1", "--coord2", "1,1", "--format", "csv"],
+             "--coord1 and --coord2 must differ"),
         ],
     )
     def test_a_bad_tolerance_or_step_count_fails_before_any_work(

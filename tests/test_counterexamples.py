@@ -285,8 +285,6 @@ class TestTrapVerification:
         gains, perts = [], []
         for _ in range(1000):
             v = rng.standard_normal(size=grid.values.shape)
-            while np.linalg.norm(v) < 1e-12:
-                v = rng.standard_normal(size=grid.values.shape)
             d = -np.abs(v) * (radius / np.linalg.norm(v))  # every control sits at +kappa
             pert = grid.with_values(np.clip(grid.values + d, -KAPPA, KAPPA))
             perts.append(pert.values)
@@ -307,24 +305,21 @@ class TestTrapVerification:
         assert v.max_inward_gain <= 1e-10
         return v, [len(s) for s in stacks[1:]]
 
-    @pytest.mark.parametrize("zero_first_draw", [False, True])
-    def test_batched_probes_match_a_per_probe_loop(self, monkeypatch, zero_first_draw):
-        if zero_first_draw:
-            # A first probe of norm 0 must be redrawn, as in the per-probe loop.
-            self.zero_probe_block(monkeypatch, 0)
+    def test_batched_probes_match_a_per_probe_loop(self, monkeypatch):
         self.assert_matches_a_per_probe_loop(monkeypatch)
 
-    def test_a_zero_probe_mid_stream_is_skipped_in_stream_order(self, monkeypatch):
-        # Probe 500 is dropped and block 1000 of the stream fills its place at
-        # the end, as in the loop that redraws it on the spot.
-        self.zero_probe_block(monkeypatch, 500)
-        self.assert_matches_a_per_probe_loop(monkeypatch)
+    @pytest.mark.parametrize("probe", [0, 299, 500])
+    def test_a_zero_probe_is_a_fault(self, monkeypatch, probe):
+        # A draw of norm 0 has no direction to scale to the radius.
+        inst = reference_instance()
+        self.zero_probe_block(monkeypatch, probe)
+        monkeypatch.setattr(qdyn, "BLOCK_BYTES", 300 * 16 * 4 * 2 * 2)
+        with pytest.raises(NumericalFault, match="norm 0"):
+            corner_escape_analysis(inst.system, inst.grid, BASIS2, 1000, 1e-3 * KAPPA, 42)
 
     def test_probe_blocks_give_the_record_of_one_block(self, monkeypatch):
-        # The zero probe 299 is the last of the first block of 300; its
-        # redraw is the stream's next draw, taken before the second block.
+        # The probes are the first 1000 draws of the stream, in blocks of 300.
         inst = reference_instance()
-        self.zero_probe_block(monkeypatch, 299)
         one = corner_escape_analysis(inst.system, inst.grid, BASIS2, 1000, 1e-3 * KAPPA, 42)
         monkeypatch.setattr(qdyn, "BLOCK_BYTES", 300 * 16 * 4 * 2 * 2)
         v, sizes = self.assert_matches_a_per_probe_loop(monkeypatch)
@@ -483,17 +478,17 @@ def patch_last_slice(monkeypatch, name, change):
 class TestSliceCensus2D:
     def test_sweep_covers_range_and_is_continuous(self):
         census = slice_census_2d(-1.4, 1.4, 101)
-        c_values = [rec.c for rec in census.per_slice]
+        c_values = [rec.c for rec in census]
         assert len(c_values) == 101
         assert c_values[0] == pytest.approx(-1.4)
         assert c_values[-1] == pytest.approx(1.4)
-        maxima = [rec.max_value for rec in census.per_slice]
+        maxima = [rec.max_value for rec in census]
         jumps = np.abs(np.diff(maxima))
         assert jumps.max() < 10.0 * (2.8 / 100.0)
 
     def test_odd_symmetry_between_opposite_slices(self):
         census = slice_census_2d(-1.4, 1.4, 101)
-        for rec_c, rec_mc in zip(census.per_slice, reversed(census.per_slice)):
+        for rec_c, rec_mc in zip(census, reversed(census)):
             assert rec_c.max_value + rec_mc.min_value == pytest.approx(0.0, abs=1e-12)
             assert rec_c.max_location + rec_mc.min_location == pytest.approx(
                 0.0, abs=1e-12
@@ -501,7 +496,7 @@ class TestSliceCensus2D:
 
     def test_verified_sweep_agrees_with_independent_census(self):
         census = slice_census_2d(-0.8, 0.8, 9, verify=True)
-        assert len(census.per_slice) == 9
+        assert len(census) == 9
 
     def test_lockstep_roots_match_slice_by_slice_bisection(self, monkeypatch):
         # Criterion 4's 101 slices: the one lockstep bisection must give every
@@ -516,7 +511,7 @@ class TestSliceCensus2D:
         census = slice_census_2d(-1.4, 1.4, 101, margin=0.15, verify=True)
         assert len(calls) == 1
         reference = np.concatenate([
-            scalar_slice_roots(rec.c, 0.15, 1001) for rec in census.per_slice
+            scalar_slice_roots(rec.c, 0.15, 1001) for rec in census
         ])
         assert reference.size == 202
         assert calls[0].tobytes() == reference.tobytes()

@@ -181,6 +181,18 @@ def test_every_public_method_is_used_outside_the_tests():
     assert unused == []
 
 
+def test_the_package_namespace_is_the_modules_exports():
+    # The package re-exports every name its modules list in __all__, and
+    # nothing else; the submodules aside.
+    modules = [landscape_lab.qdyn, landscape_lab.landscape, landscape_lab.traps,
+               landscape_lab.counterexamples]
+    public = {
+        name for name, value in vars(landscape_lab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set().union(*(module.__all__ for module in modules))
+
+
 def test_every_exported_name_is_used_outside_the_tests():
     # A name in a module's __all__ that no module of the package reads (the
     # re-exporting __init__ aside), and that neither the README nor the

@@ -7,7 +7,6 @@ import pytest
 import landscape_lab
 from landscape_lab import (
     AscentTrace,
-    BasinSampler,
     BoundaryTrapInstance,
     CLASSIFICATIONS,
     ControlGrid,
@@ -75,6 +74,11 @@ def random_system(N, seed):
     return QuantumSystem(N, np.outer(psi, psi.conj()), (X + X.conj().T) / 2.0)
 
 
+def census_plan(count, *, seed=0, kappa=KAPPA, segments=4):
+    """basin_census's sampling keywords for count runs on the unit horizon."""
+    return dict(count=count, seed=seed, kappa=kappa, segments=segments, horizon=1.0)
+
+
 def parameters(fn):
     """(positional parameter names, {keyword-only name: default}) of fn."""
     params = inspect.signature(fn).parameters.values()
@@ -97,13 +101,15 @@ class TestSettings:
         # The settings left are keywords of the functions that read them.
         ascent = {"max_iters": 500, "tol_grad": 1e-8}
         assert parameters(gradient_ascent) == (["system", "start", "basis"], ascent)
-        assert parameters(basin_census) == (["system", "basis", "sampler"], ascent)
+        plan = dict.fromkeys(["count", "seed", "kappa", "segments", "horizon"],
+                             inspect.Parameter.empty)
+        assert parameters(basin_census) == (["system", "basis"], {**plan, **ascent})
         assert parameters(traps._lockstep_ascent) == (["system", "starts", "basis"], ascent)
         assert parameters(classify_point) == (
             ["system", "grid", "basis"], {"tol_grad": 1e-8}
         )
         assert parameters(traps._classify) == (
-            ["system", "grids", "js", "gs", "eigen", "basis"],
+            ["system", "starts", "vals", "js", "gs", "pnorms", "eigen", "basis"],
             {"tol_grad": inspect.Parameter.empty},
         )
         assert parameters(critical_value_census_1d) == (
@@ -155,7 +161,10 @@ class TestSettings:
             (landscape, "_segment_products"),
             (landscape_lab, "active_set"),
             (landscape, "active_set"),
-            (counterexamples.SliceCensus, "c_values"),
+            (landscape_lab, "BasinSampler"),
+            (traps, "BasinSampler"),
+            (landscape_lab, "SliceCensus"),
+            (counterexamples, "SliceCensus"),
             (qdyn.PropagationResult, "dim"),
             (landscape.TangentMap, "dim"),
             (landscape, "_tangent_rows"),
@@ -168,8 +177,7 @@ class TestSettings:
 
     def test_success_margin_resolution(self):
         # A census's success margin is 1e-4 (j_max - j_min).
-        sampler = BasinSampler(count=1, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
-        res = basin_census(corner_system(), BASIS2, sampler)
+        res = basin_census(corner_system(), BASIS2, **census_plan(1))
         assert res.success_margin == 1e-4 * objective_range(corner_system()).width
         assert res.success_margin == pytest.approx(2e-4 * np.sqrt(1.5), rel=1e-12)
 
@@ -459,9 +467,22 @@ class TestGradientAscent:
         assert trace.terminal.classification == "interior-max"
         assert trace.terminal.grad_norm_projected <= trace.terminal.tol_grad
 
+    def test_a_maximum_of_zero_converges_as_the_shifted_landscape_does(self):
+        # j_max = 0: the rounding of J scales with the observable, not with
+        # J, so the runs end as those on O + I (j_max = 1) end.
+        rho = np.diag([1.0, 0.0])
+        O = np.diag([0.0, -1.0])
+        for seed in range(8):
+            start = ControlGrid.uniform_random(1.0, 1.0, 3, 4, np.random.default_rng(seed))
+            zero, one = (
+                gradient_ascent(QuantumSystem(2, rho, obs), start, BASIS2, tol_grad=0.0)
+                for obs in (O, O + np.eye(2))
+            )
+            assert zero.converged and zero.terminal.classification == "interior-max"
+            assert (zero.stop_reason, zero.iterations) == (one.stop_reason, one.iterations)
+
     def test_every_census_run_at_the_max_converges(self):
-        sampler = BasinSampler(count=40, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
-        res = basin_census(corner_system(), BASIS2, sampler)
+        res = basin_census(corner_system(), BASIS2, **census_plan(40))
         at_max = [r for r in res.runs if r.j_terminal >= np.sqrt(1.5) - 1e-10]
         assert at_max
         for run in at_max:
@@ -470,16 +491,14 @@ class TestGradientAscent:
             assert not run.trapped, run
 
     def test_census_run_25_ends_at_the_max_on_the_boundary_untrapped(self):
-        sampler = BasinSampler(count=1, seed=25, kappa=KAPPA, segments=4, horizon=1.0)
-        (run,) = basin_census(corner_system(), BASIS2, sampler).runs
+        (run,) = basin_census(corner_system(), BASIS2, **census_plan(1, seed=25)).runs
         assert run.j_terminal >= np.sqrt(1.5) - 1e-10
         assert run.classification == "boundary-max"
         assert not run.trapped
 
     @pytest.mark.parametrize("grad", [1e-8, 1e-4])
     def test_a_converged_run_is_critical(self, grad):
-        sampler = BasinSampler(count=40, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
-        res = basin_census(corner_system(), BASIS2, sampler, tol_grad=grad)
+        res = basin_census(corner_system(), BASIS2, **census_plan(40), tol_grad=grad)
         converged = [run for run in res.runs if run.converged]
         assert len(converged) == 40
         assert all(run.classification != "regular" for run in converged)
@@ -495,14 +514,12 @@ class TestGradientAscent:
 class TestBasinCensus:
     def test_degenerate_range_reports_zero(self):
         system = QuantumSystem(2, STATE_UP, np.eye(2))
-        sampler = BasinSampler(count=4, seed=1, kappa=1.0, segments=2, horizon=1.0)
-        res = basin_census(system, BASIS2, sampler)
+        res = basin_census(system, BASIS2, count=4, seed=1, kappa=1.0, segments=2, horizon=1.0)
         assert res.trapped_fraction == 0.0
         assert res.success_margin == 0.0
 
     def test_run_fields_are_consistent(self):
-        sampler = BasinSampler(count=6, seed=3, kappa=KAPPA, segments=4, horizon=1.0)
-        res = basin_census(corner_system(), BASIS2, sampler)
+        res = basin_census(corner_system(), BASIS2, **census_plan(6, seed=3))
         assert 0.0 <= res.trapped_fraction <= 1.0
         assert res.j_max == pytest.approx(np.sqrt(1.5), abs=1e-12)
         for i, run in enumerate(res.runs):
@@ -511,9 +528,17 @@ class TestBasinCensus:
             assert run.classification in CLASSIFICATIONS
             assert run.trapped == (run.j_terminal < res.j_max - res.success_margin)
 
-    def test_rejects_empty_plan(self):
-        with pytest.raises(ValueError):
-            BasinSampler(count=0, seed=1, kappa=1.0, segments=2, horizon=1.0)
+    def test_rejects_empty_plan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work done before the check")
+
+        monkeypatch.setattr(qdyn, "_segment_kernel", refuse)
+        for plan, message in (
+            (census_plan(0), "need at least one run, got 0"),
+            (census_plan(2, segments=0), "need at least one segment, got 0"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                basin_census(corner_system(), BASIS2, **plan)
 
 
 class TestCensus1D:
@@ -645,7 +670,7 @@ def sequential_ascent(
             predicted = float(np.sum(g * (cand - vals)))
             if predicted <= 0.0:
                 break
-            if predicted <= _objective_rounding(J):
+            if predicted <= _objective_rounding(system):
                 converged = True
                 break
             Jc = objective(system, propagate(grid.with_values(cand), basis).total)
@@ -714,7 +739,7 @@ def nan_trial_totals(monkeypatch):
     monkeypatch.setattr(landscape, "_propagated", totals)
 
 
-CENSUS_OF_10 = BasinSampler(count=10, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
+CENSUS_OF_10 = census_plan(10)
 
 
 class TestLineSearchFaults:
@@ -733,16 +758,17 @@ class TestLineSearchFaults:
     @pytest.mark.usefixtures("non_unitary_trial_segment")
     def test_non_unitary_trial_segment_in_a_census_is_a_fault(self):
         with pytest.raises(NumericalFault, match="segment unitary 3"):
-            basin_census(corner_system(), BASIS2, CENSUS_OF_10)
+            basin_census(corner_system(), BASIS2, **CENSUS_OF_10)
 
     def test_non_finite_trial_objective_in_a_census_is_a_fault(self, monkeypatch):
         nan_trial_totals(monkeypatch)
         with pytest.raises(NumericalFault, match="not finite"):
-            basin_census(corner_system(), BASIS2, CENSUS_OF_10)
+            basin_census(corner_system(), BASIS2, **CENSUS_OF_10)
 
 
-def census_traces(monkeypatch, system, basis, sampler):
-    """basin_census's result and the ascent traces behind its runs."""
+def census_traces(monkeypatch, system, basis, plan):
+    """basin_census's result on the sampling keywords plan and the ascent
+    traces behind its runs."""
     traces = []
     real = traps._lockstep_ascent
 
@@ -751,7 +777,7 @@ def census_traces(monkeypatch, system, basis, sampler):
         return traces[-1]
 
     monkeypatch.setattr(traps, "_lockstep_ascent", spy)
-    return basin_census(system, basis, sampler), traces[0]
+    return basin_census(system, basis, **plan), traces[0]
 
 
 def assert_run_matches_alone(system, start, basis, trace, max_iters=MAX_ITERS):
@@ -785,8 +811,8 @@ class TestLockstepCensus:
         basis = build_su_basis(N)
         system = {2: corner_system, 3: random_qutrit_system}.get(N, lambda: random_system(N, N))()
         Z = {3: 5, 8: 2}.get(N, 4)
-        sampler = BasinSampler(count=count, seed=0, kappa=kappa, segments=Z, horizon=1.0)
-        res, traces = census_traces(monkeypatch, system, basis, sampler)
+        plan = census_plan(count, kappa=kappa, segments=Z)
+        res, traces = census_traces(monkeypatch, system, basis, plan)
         assert len(traces) == count
         iterations = [t.iterations for t in traces]
         assert max(iterations) - min(iterations) >= 10
@@ -798,6 +824,8 @@ class TestLockstepCensus:
             assert run.iterations == trace.iterations
             assert run.converged == trace.converged
             assert run.classification == trace.terminal.classification
+            # The report takes the norm the ascent stopped on.
+            assert trace.terminal.grad_norm_projected == trace.iterates[-1][2]
 
     def test_runs_that_stop_for_different_reasons(self):
         # At the corner the projected gradient is zero at iteration 0; at
@@ -851,7 +879,7 @@ class TestLockstepCensus:
             return real(system, lam, *args)
 
         monkeypatch.setattr(traps, "_gradient_from", spy)
-        res = basin_census(corner_system(), BASIS2, CENSUS_OF_10)
+        res = basin_census(corner_system(), BASIS2, **CENSUS_OF_10)
         assert len(kernel) == 22 and sum(kernel) * 4 == 2764
         assert len(batches) == 21
         assert batches[0] == 10
@@ -870,7 +898,7 @@ class TestLockstepCensus:
 
         monkeypatch.setattr(qdyn, "_segment_kernel", spy)
         evaluated = trial_grid_counts(monkeypatch)
-        res = basin_census(corner_system(), BASIS2, CENSUS_OF_10)
+        res = basin_census(corner_system(), BASIS2, **CENSUS_OF_10)
         assert all(run.classification in CLASSIFICATIONS for run in res.runs)
         assert kernel == evaluated
 
@@ -909,8 +937,7 @@ class TestWarmLadder:
         # Census starts 0-49, which are also the 50 starts of acceptance
         # criterion 6, in the census and alone, and criterion 6's corner.
         inst = BoundaryTrapInstance(1.0, 4, KAPPA)
-        sampler = BasinSampler(count=50, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
-        _, traces = census_traces(monkeypatch, inst.system, BASIS2, sampler)
+        _, traces = census_traces(monkeypatch, inst.system, BASIS2, census_plan(50))
         for seed, trace in enumerate(traces):
             start = ControlGrid.uniform_random(1.0, KAPPA, 3, 4, np.random.default_rng(seed))
             alone = gradient_ascent(inst.system, start, BASIS2)
@@ -944,8 +971,7 @@ class TestWarmLadder:
     def test_census_spends_at_most_6_trial_grids_per_iteration(self, monkeypatch):
         # The cold ladder spends 22.6 on this census.
         calls = trial_grid_counts(monkeypatch)
-        sampler = BasinSampler(count=50, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
-        res = basin_census(corner_system(), BASIS2, sampler)
+        res = basin_census(corner_system(), BASIS2, **census_plan(50))
         iterations = sum(run.iterations for run in res.runs)
         assert calls[0] == 50
         assert sum(calls[1:]) <= 6 * iterations
@@ -981,15 +1007,18 @@ class TestBlockedHessian:
         passed to _report, one per grid."""
         held = []
 
-        def spy(grid, j, g, H, *args, real=traps._report):
+        def spy(grid, j, g, pnorm, H, *args, real=traps._report):
             held.append(H)
-            return real(grid, j, g, H, *args)
+            return real(grid, j, g, pnorm, H, *args)
 
         monkeypatch.setattr(traps, "_report", spy)
         values = np.stack([grid.values for grid in grids])
         J, lam, V, P = landscape._evaluated(system, values, grids[0].dt, basis)
         g = landscape._gradient_from(system, lam, V, P, grids[0].dt, basis)
-        reports = traps._classify(system, grids, J, g, (lam, V, P), basis, tol_grad=GRAD_TOL)
+        pnorm = traps._norms(traps._project(g, *traps._at_bounds(values, grids[0].kappa)))
+        reports = traps._classify(
+            system, grids, values, J, g, pnorm, (lam, V, P), basis, tol_grad=GRAD_TOL
+        )
         return reports, held
 
     @pytest.mark.parametrize(
@@ -1070,8 +1099,7 @@ class TestBlockedHessian:
     def test_census_hessians_hold_at_most_a_block_of_tangent_rows(self, monkeypatch):
         # With a block of 40 matrices, 3 runs of 12 tangent rows a block;
         # the census is bitwise the one with the default block.
-        sampler = BasinSampler(count=10, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
-        _, want = census_traces(monkeypatch, corner_system(), BASIS2, sampler)
+        _, want = census_traces(monkeypatch, corner_system(), BASIS2, CENSUS_OF_10)
         monkeypatch.setattr(qdyn, "BLOCK_BYTES", 40 * 64)
         rows = []
 
@@ -1081,7 +1109,7 @@ class TestBlockedHessian:
             return H
 
         monkeypatch.setattr(traps, "_hessians", spy)
-        _, got = census_traces(monkeypatch, corner_system(), BASIS2, sampler)
+        _, got = census_traces(monkeypatch, corner_system(), BASIS2, CENSUS_OF_10)
         assert rows == [36, 36, 36, 12]
         for a, b in zip(got, want):
             assert a.iterates == b.iterates and a.stop_reason == b.stop_reason
@@ -1093,11 +1121,10 @@ class TestTolerances:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-12])
     def test_a_bad_gradient_tolerance_is_refused(self, value):
         system, grid = corner_system(), corner_grid()
-        sampler = BasinSampler(count=2, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
         for call in (
             lambda: classify_point(system, grid, BASIS2, tol_grad=value),
             lambda: gradient_ascent(system, grid, BASIS2, tol_grad=value),
-            lambda: basin_census(system, BASIS2, sampler, tol_grad=value),
+            lambda: basin_census(system, BASIS2, **census_plan(2), tol_grad=value),
         ):
             with pytest.raises(ValueError, match="tol_grad must be finite and nonnegative"):
                 call()
@@ -1110,11 +1137,10 @@ class TestTolerances:
             raise AssertionError("work done before the check")
 
         system, grid = corner_system(), corner_grid()
-        sampler = BasinSampler(count=2, seed=0, kappa=KAPPA, segments=4, horizon=1.0)
         monkeypatch.setattr(qdyn, "_segment_kernel", refuse)
         for call in (
             lambda: gradient_ascent(system, grid, BASIS2, max_iters=value),
-            lambda: basin_census(system, BASIS2, sampler, max_iters=value),
+            lambda: basin_census(system, BASIS2, **census_plan(2), max_iters=value),
         ):
             with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):
                 call()
