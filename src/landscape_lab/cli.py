@@ -30,6 +30,7 @@ from .qdyn import ControlGrid, NumericalFault, _blocks, build_su_basis, propagat
 from .landscape import (
     _evaluated,
     _gradient_from,
+    _real_rows,
     boundary_cone_surjectivity,
     kappa_threshold,
     local_surjectivity_rank,
@@ -95,11 +96,6 @@ def _parse_kappa(value: str) -> float:
     return _auto_or_number("--kappa", value, math.pi / math.sqrt(3.0))
 
 
-def _interleave(M: np.ndarray) -> list:
-    """Complex matrix as a flat row-major (re, im) float list."""
-    return np.ascontiguousarray(M, dtype=complex).ravel().view(float).tolist()
-
-
 def _make_grid(kind: str, T: float, kappa: float, num_controls: int, Z: int,
                seed: int, fill: float) -> ControlGrid:
     if kind == "zeros":
@@ -129,7 +125,7 @@ def _cmd_basis(args):
     results = {
         "dim": basis.dim,
         "size": basis.size,
-        "elements": [_interleave(B) for B in basis.elements],
+        "elements": [_real_rows(B).tolist() for B in basis.elements],
     }
     return results, True
 
@@ -148,8 +144,8 @@ def _cmd_propagate(args):
     eye = np.eye(basis.dim)
     results = {
         "kappa": kappa,
-        "total": _interleave(prop.total),
-        "segment_unitaries": [_interleave(U) for U in prop.segment_unitaries],
+        "total": _real_rows(prop.total).tolist(),
+        "segment_unitaries": [_real_rows(U).tolist() for U in prop.segment_unitaries],
         "unitarity_defect": float(
             np.linalg.norm(prop.total.conj().T @ prop.total - eye)
         ),
@@ -255,7 +251,7 @@ def _cmd_ce_boundary(args):
         "kappa": inst.kappa,
         "radius": radius,
         **asdict(ver),
-        "corner_unitary": _interleave(ver.corner_unitary),
+        "corner_unitary": _real_rows(np.array(ver.corner_unitary)).tolist(),
     }
     return results, not args.expect_trap or ver.is_trap
 
@@ -483,8 +479,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 def _hexify(obj):
     """Mirror of a results tree with every float as its exact hex string."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float.hex(obj)
     if isinstance(obj, dict):

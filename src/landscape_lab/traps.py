@@ -229,16 +229,6 @@ def _norms(pg: np.ndarray) -> np.ndarray:
     return np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(len(pg))
 
 
-def _eigenvalue_signs(eigs: np.ndarray) -> tuple:
-    """(n_pos, n_neg, n_zero) under a scale-aware sign threshold."""
-    if eigs.size == 0:
-        return 0, 0, 0
-    tau = max(1e-10, 1e-6 * float(np.max(np.abs(eigs))))
-    n_pos = int(np.sum(eigs > tau))
-    n_neg = int(np.sum(eigs < -tau))
-    return n_pos, n_neg, int(eigs.size - n_pos - n_neg)
-
-
 def classify_point(
     system: QuantumSystem,
     grid: ControlGrid,
@@ -277,7 +267,10 @@ def _classify(
     The at-bound masks of all grids are taken once. The Hessians come from
     one _hessians call per block of grids holding at most BLOCK_BYTES of
     tangent rows (_blocks), so only one block's Hessians are held at a time;
-    each is reduced to its eigenvalues on the free coordinates.
+    each is reduced to its eigenvalues on the free coordinates. An
+    eigenvalue counts as zero within tau = max(1e-10, 1e-6 top), with top
+    the largest |eigenvalue|, and the gradient tolerance in effect is
+    max(tol_grad, sqrt(2 top r)), with r the rounding of J.
     """
     at_upper, at_lower = _at_bounds(vals, starts[0].kappa)
     free = ~(at_upper | at_lower).reshape(len(vals), -1)
@@ -286,10 +279,44 @@ def _classify(
     for b in _blocks(len(vals), vals[0].size, basis.dim):
         hessians = _hessians(system, *(e[b] for e in eigen), starts[0].dt, basis)
         for r, H in zip(range(len(vals))[b], hessians):
-            f, j = np.flatnonzero(free[r]), float(js[r])
-            reports.append(_report(
-                starts[r].with_values(vals[r]), j, gs[r], float(pnorms[r]), H[np.ix_(f, f)],
-                at_upper[r], at_lower[r], tol_grad, rounding, _trapped(j, rng_range),
+            f, j, pnorm = np.flatnonzero(free[r]), float(js[r]), float(pnorms[r])
+            H = H[np.ix_(f, f)]
+            eigs = np.linalg.eigvalsh((H + H.T) / 2.0)
+            top = float(np.max(np.abs(eigs), initial=0.0))
+            tau = max(1e-10, 1e-6 * top)
+            n_pos = int(np.sum(eigs > tau))
+            n_neg = int(np.sum(eigs < -tau))
+            tol = max(tol_grad, (2.0 * top * rounding) ** 0.5)
+            if pnorm > tol:
+                cls = "regular"
+                degenerate = False
+            else:
+                degenerate = n_pos + n_neg < eigs.size
+                if free[r].all():
+                    if n_pos == 0 and n_neg > 0:
+                        cls = "interior-max"
+                    elif n_neg == 0 and n_pos > 0:
+                        cls = "interior-min"
+                    else:
+                        cls = "interior-saddle"
+                else:
+                    # '+' at both bounds (kappa = 0), as _active_entries has it.
+                    outward = np.where(at_upper[r], gs[r], -gs[r])[at_upper[r] | at_lower[r]]
+                    if n_pos == 0 and np.all(outward >= -tol):
+                        cls = "boundary-trap-max" if _trapped(j, rng_range) else "boundary-max"
+                    elif n_neg == 0 and np.all(outward <= tol):
+                        cls = "boundary-trap-min"
+                    else:
+                        cls = "boundary-saddle"
+            reports.append(CriticalPointReport(
+                location=starts[r].with_values(vals[r]),
+                j_value=j,
+                grad_norm_projected=pnorm,
+                active_set=tuple(_active_entries(at_upper[r], at_lower[r])),
+                classification=cls,
+                hessian_eigenvalues=tuple(float(e) for e in eigs),
+                degenerate=degenerate,
+                tol_grad=tol,
             ))
     return reports
 
@@ -299,56 +326,6 @@ def _trapped(j_value: float, rng_range: ObjectiveRange) -> bool:
     (j_max - j_min). A degenerate range has no traps by convention."""
     margin = SUCCESS_MARGIN * rng_range.width
     return rng_range.width > DEGENERATE_RANGE_WIDTH and j_value < rng_range.j_max - margin
-
-
-def _report(
-    grid: ControlGrid, j_value: float, g: np.ndarray, pnorm: float, H: np.ndarray,
-    at_upper: np.ndarray, at_lower: np.ndarray, tol_grad: float, rounding: float,
-    trapped: bool,
-) -> CriticalPointReport:
-    """classify_point's label from J, the gradient and its projected norm,
-    the free Hessian, the grid's at-bound masks, the rounding of J
-    (_objective_rounding) and whether J is short of the attainable maximum
-    (_trapped)."""
-    act = tuple(_active_entries(at_upper, at_lower))
-    eigs = np.linalg.eigvalsh((H + H.T) / 2.0) if H.size else np.empty(0)
-    n_pos, n_neg, n_zero = _eigenvalue_signs(eigs)
-    if eigs.size:
-        floor = 2.0 * float(np.max(np.abs(eigs))) * rounding
-        tol_grad = max(tol_grad, floor**0.5)
-
-    if pnorm > tol_grad:
-        cls = "regular"
-        degenerate = False
-    else:
-        degenerate = n_zero > 0
-        if not act:
-            if n_pos == 0 and n_neg > 0:
-                cls = "interior-max"
-            elif n_neg == 0 and n_pos > 0:
-                cls = "interior-min"
-            else:
-                cls = "interior-saddle"
-        else:
-            # '+' at both bounds (kappa = 0), as _active_entries has it.
-            outward = np.where(at_upper, g, -g)[at_upper | at_lower]
-            if n_pos == 0 and np.all(outward >= -tol_grad):
-                cls = "boundary-trap-max" if trapped else "boundary-max"
-            elif n_neg == 0 and np.all(outward <= tol_grad):
-                cls = "boundary-trap-min"
-            else:
-                cls = "boundary-saddle"
-
-    return CriticalPointReport(
-        location=grid,
-        j_value=j_value,
-        grad_norm_projected=pnorm,
-        active_set=act,
-        classification=cls,
-        hessian_eigenvalues=tuple(float(e) for e in eigs),
-        degenerate=degenerate,
-        tol_grad=tol_grad,
-    )
 
 
 def gradient_ascent(

@@ -117,7 +117,7 @@ class TestPayloadsAreTheirRecords:
         inst = BoundaryTrapInstance(1.0, 4, kappa)
         ver = corner_escape_analysis(inst.system, inst.grid, BASIS2, 1000, 1e-3 * kappa, 0)
         own = {"alpha": inst.alpha, "kappa": kappa, "radius": 1e-3 * kappa,
-               "corner_unitary": cli._interleave(ver.corner_unitary)}
+               "corner_unitary": np.array(ver.corner_unitary).ravel().view(float).tolist()}
         assert code == 0
         assert_results_are_the_record(payload["results"], ver, own)
 
@@ -322,6 +322,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as se:
             main(["no-such-command"])
         assert se.value.code == 2
+
+    def test_malformed_coordinate_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as se:
+            main(["scan", "--coord1", "1"])
+        assert se.value.code == 2
+        assert "expected 'j,z', got '1'" in capsys.readouterr().err
 
     def test_bad_coordinate_rejected(self, tmp_path):
         code = main(["scan", "--steps", "3", "--coord1", "9,9"])
@@ -820,6 +826,27 @@ class TestCsvFormat:
         table = dict(ln.split(",", 1) for ln in lines[1:])
         assert float(table["kappa_thr"]) == kappa_threshold(build_su_basis(2), 1.0, 4)
         assert table["conservative"] == "false"
+
+    def test_nested_records_are_walked_key_by_key(self, tmp_path):
+        # A list of records becomes one row per field, keyed by index.
+        code, text = run_to_file(tmp_path, "b.csv", ["basins", "--count", "2", "--format", "csv"])
+        assert code == 0
+        keys = [ln.split(",", 1)[0] for ln in text.split("\n")[1:] if ln]
+        fields = ["classification", "converged", "index", "iterations", "j_terminal",
+                  "seed", "trapped"]
+        assert keys == ["alpha", "j_max", "kappa"] + [
+            f"runs[{i}].{field}" for i in range(2) for field in fields
+        ] + ["success_margin", "trapped_fraction"]
+
+    def test_list_of_lists_is_one_row_per_item(self, tmp_path):
+        code, text = run_to_file(
+            tmp_path, "a.csv", ["ascent", "--seed", "3", "--max-iters", "2", "--format", "csv"]
+        )
+        assert code == 0
+        table = dict(ln.split(",", 1) for ln in text.split("\n")[1:] if ln)
+        rows = [key for key in table if key.startswith("iterates")]
+        assert rows == ["iterates[0]", "iterates[1]", "iterates[2]"]
+        assert all(len(table[key].split(";")) == 3 for key in rows)
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         _, text = run_to_file(

@@ -212,3 +212,14 @@ def test_every_exported_name_is_used_outside_the_tests():
         if name not in read and not re.search(rf"\b{name}\b", named)
     ]
     assert unused == []
+
+
+def test_the_readme_python_blocks_run():
+    # The README's python blocks build on each other, so they run in order
+    # in one namespace, as a reader pasting them into one session would.
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

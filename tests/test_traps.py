@@ -245,6 +245,17 @@ class TestClassifyPoint:
         assert rep.hessian_eigenvalues == ()
         assert abs(rep.j_value) < 1e-10
 
+    def test_flip_at_the_bound_is_boundary_trap_min(self):
+        # A pulse of area kappa = pi/2 on the first control flips the state
+        # to J = -1, the global minimum, at the bound: the active component
+        # is inert and the free curvature is >= 0.
+        system = QuantumSystem(2, STATE_UP, SIGMA_Z)
+        grid = ControlGrid(1.0, np.pi / 2, np.array([[np.pi / 2], [0.0], [0.0]]))
+        rep = classify_point(system, grid, BASIS2)
+        assert rep.classification == "boundary-trap-min"
+        assert rep.active_set == ((0, 1, "+"),)
+        assert rep.degenerate
+
     def test_boundary_trap_soundness(self):
         # inward perturbations from a reported boundary trap never gain
         system = corner_system()
@@ -333,7 +344,7 @@ def a_based_hessians(system, lam, V, P, dt, basis):
 class TestHessian:
     def test_near_symmetric_on_smooth_instance(self):
         # Exactly symmetric but for the rounding of the traces over all
-        # pairs; checked before _report symmetrizes.
+        # pairs; checked before _classify symmetrizes.
         cases = [(random_instance(3)[0], BASIS2, 4)] + [
             (random_system(N, N), build_su_basis(N), Z) for N, Z in ((3, 5), (4, 6), (8, 20))
         ]
@@ -1004,21 +1015,28 @@ class TestBlockedHessian:
     @staticmethod
     def free_hessians(monkeypatch, system, grids, basis):
         """traps._classify's reports at the grids and the free Hessians it
-        passed to _report, one per grid."""
+        labelled them by, one per grid: each Hessian _hessians returned,
+        sliced to the grid's free coordinates."""
         held = []
-
-        def spy(grid, j, g, pnorm, H, *args, real=traps._report):
-            held.append(H)
-            return real(grid, j, g, pnorm, H, *args)
-
-        monkeypatch.setattr(traps, "_report", spy)
         values = np.stack([grid.values for grid in grids])
+        at_upper, at_lower = traps._at_bounds(values, grids[0].kappa)
+        free = ~(at_upper | at_lower).reshape(len(grids), -1)
+
+        def spy(*args, real=traps._hessians):
+            hessians = real(*args)
+            for H in hessians:
+                f = np.flatnonzero(free[len(held)])
+                held.append(H[np.ix_(f, f)])
+            return hessians
+
         J, lam, V, P = landscape._evaluated(system, values, grids[0].dt, basis)
         g = landscape._gradient_from(system, lam, V, P, grids[0].dt, basis)
-        pnorm = traps._norms(traps._project(g, *traps._at_bounds(values, grids[0].kappa)))
-        reports = traps._classify(
-            system, grids, values, J, g, pnorm, (lam, V, P), basis, tol_grad=GRAD_TOL
-        )
+        pnorm = traps._norms(traps._project(g, at_upper, at_lower))
+        with monkeypatch.context() as patch:
+            patch.setattr(traps, "_hessians", spy)
+            reports = traps._classify(
+                system, grids, values, J, g, pnorm, (lam, V, P), basis, tol_grad=GRAD_TOL
+            )
         return reports, held
 
     @pytest.mark.parametrize(
